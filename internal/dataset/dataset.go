@@ -128,21 +128,40 @@ func SiteNames() []string {
 // Generate produces the site's full synthetic irradiance trace. The same
 // site always generates the identical trace (seeded).
 func Generate(site Site) (*timeseries.Series, error) {
-	series, _, err := GenerateLabeled(site)
+	series, _, err := generate(site, true)
 	return series, err
 }
 
 // GenerateLabeled is Generate plus the per-day stochastic plans the
-// cloud process realised (day type, base transmittance, fog, events) —
-// the labels behind the error-by-weather analysis in
-// internal/experiments.
+// cloud process realised (day type, base transmittance, fog, events).
 func GenerateLabeled(site Site) (*timeseries.Series, []cloud.DayPlan, error) {
+	return generate(site, true)
+}
+
+// Plans returns the per-day plans GenerateLabeled reports for the site —
+// the weather labels behind the error-by-day-type analysis in
+// internal/experiments — without building the trace: it replays the
+// cloud process alone and skips the clear-sky envelope.
+func Plans(site Site) ([]cloud.DayPlan, error) {
+	_, plans, err := generate(site, false)
+	return plans, err
+}
+
+// generate runs the site's day loop: every day the cloud process draws
+// its plan and transmittance, and, when withSeries is set, the trace
+// gains the clear-sky envelope times that transmittance. The cloud
+// process draws the same random numbers either way, so the plans do not
+// depend on withSeries.
+func generate(site Site, withSeries bool) (*timeseries.Series, []cloud.DayPlan, error) {
 	if err := site.Validate(); err != nil {
 		return nil, nil, err
 	}
 	perDay := timeseries.MinutesPerDay / site.ResolutionMinutes
-	samples := make([]float64, 0, perDay*site.Days)
-	clearSky := make([]float64, perDay)
+	var samples, clearSky []float64
+	if withSeries {
+		samples = make([]float64, 0, perDay*site.Days)
+		clearSky = make([]float64, perDay)
+	}
 	trans := make([]float64, perDay)
 	plans := make([]cloud.DayPlan, 0, site.Days)
 
@@ -152,18 +171,24 @@ func GenerateLabeled(site Site) (*timeseries.Series, []cloud.DayPlan, error) {
 	}
 	for day := 0; day < site.Days; day++ {
 		doy := day%solar.DaysPerYear + 1
-		if err := solar.ClearSkyDay(site.Geo, doy, site.ResolutionMinutes, clearSky); err != nil {
-			return nil, nil, err
-		}
 		rise, set := solar.SunriseSunset(site.Geo, doy)
 		plan, err := proc.GenerateDay(doy, site.ResolutionMinutes, rise, set, trans)
 		if err != nil {
 			return nil, nil, err
 		}
 		plans = append(plans, plan)
+		if !withSeries {
+			continue
+		}
+		if err := solar.ClearSkyDay(site.Geo, doy, site.ResolutionMinutes, clearSky); err != nil {
+			return nil, nil, err
+		}
 		for i := 0; i < perDay; i++ {
 			samples = append(samples, clearSky[i]*trans[i])
 		}
+	}
+	if !withSeries {
+		return nil, plans, nil
 	}
 	series, err := timeseries.New(site.ResolutionMinutes, samples)
 	if err != nil {

@@ -145,6 +145,34 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
+// TestPlansMatchLabeled pins the plans-only path to the labelled trace
+// path: skipping the clear-sky envelope must not change the cloud
+// process's draws, for any site over a full year.
+func TestPlansMatchLabeled(t *testing.T) {
+	for _, site := range Sites() {
+		series, want, err := GenerateLabeled(site)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Plans(site)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != site.Days || len(want) != site.Days || series.Days() != site.Days {
+			t.Fatalf("%s: %d plans, %d labelled plans, %d trace days; want %d",
+				site.Name, len(got), len(want), series.Days(), site.Days)
+		}
+		for d := range want {
+			if got[d] != want[d] {
+				t.Fatalf("%s day %d: plans path %+v, labelled path %+v", site.Name, d, got[d], want[d])
+			}
+		}
+	}
+	if _, err := Plans(Site{}); err == nil {
+		t.Error("invalid site should error")
+	}
+}
+
 func TestGenerateSitesDiffer(t *testing.T) {
 	a, err := GenerateDays(mustSite(t, "NPCS"), 3)
 	if err != nil {

@@ -57,7 +57,9 @@ func buildPolicies(n, nSlots int) ([]adaptive.Selector, error) {
 // TableVI runs the realizable dynamic-parameter study over the
 // configured sites and sampling rates: for every (site, N) it reports
 // the static hindsight optimum, the clairvoyant oracle bound, and the
-// MAPE each online policy achieves with no offline tuning at all.
+// MAPE each online policy achieves with no offline tuning at all. The
+// (site, N) cells run concurrently on the configured worker pool; row
+// order is site-major like the other tables.
 func TableVI(cfg Config) ([]TableVIRow, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -67,52 +69,56 @@ func TableVI(cfg Config) ([]TableVIRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	var rows []TableVIRow
-	for _, site := range cfg.Sites {
-		for _, n := range cfg.Ns {
-			row := TableVIRow{Site: site, N: n}
-			deg, err := Degenerate(site, n)
-			if err != nil {
-				return nil, err
-			}
-			if deg {
-				row.Degenerate = true
-				rows = append(rows, row)
-				continue
-			}
-			e, _, err := cfg.evalFor(site, n)
-			if err != nil {
-				return nil, err
-			}
-			res, err := cfg.gridFor(e, site, n, optimize.RefSlotMean)
-			if err != nil {
-				return nil, err
-			}
-			d := res.Best.Params.D
-			dyn, err := e.DynamicEval(d, grid, res.Best, optimize.RefSlotMean)
-			if err != nil {
-				return nil, err
-			}
-			row.Static = res.Best.Report.MAPE
-			row.Oracle = dyn.BothMAPE
-
-			policies, err := buildPolicies(len(cands), n)
-			if err != nil {
-				return nil, err
-			}
-			for _, sel := range policies {
-				r, err := e.AdaptiveEval(d, cands, sel, optimize.RefSlotMean)
-				if err != nil {
-					return nil, err
-				}
-				if r.Report.MAPE < row.Oracle-1e-9 {
-					return nil, fmt.Errorf("experiments: %s N=%d: policy %s beat the oracle — bug",
-						site, n, sel.Name())
-				}
-				row.Policies = append(row.Policies, *r)
-			}
-			rows = append(rows, row)
+	jobs := crossSitesNs(cfg.Sites, cfg.Ns)
+	rows := make([]TableVIRow, len(jobs))
+	err = parallelFor(cfg.workers(), len(jobs), func(i int) error {
+		site, n := jobs[i].site, jobs[i].n
+		row := TableVIRow{Site: site, N: n}
+		deg, err := Degenerate(site, n)
+		if err != nil {
+			return err
 		}
+		if deg {
+			row.Degenerate = true
+			rows[i] = row
+			return nil
+		}
+		e, _, err := cfg.evalFor(site, n)
+		if err != nil {
+			return err
+		}
+		res, err := cfg.gridFor(e, site, n, optimize.RefSlotMean)
+		if err != nil {
+			return err
+		}
+		d := res.Best.Params.D
+		dyn, err := e.DynamicEval(d, grid, res.Best, optimize.RefSlotMean)
+		if err != nil {
+			return err
+		}
+		row.Static = res.Best.Report.MAPE
+		row.Oracle = dyn.BothMAPE
+
+		policies, err := buildPolicies(len(cands), n)
+		if err != nil {
+			return err
+		}
+		for _, sel := range policies {
+			r, err := e.AdaptiveEval(d, cands, sel, optimize.RefSlotMean)
+			if err != nil {
+				return err
+			}
+			if r.Report.MAPE < row.Oracle-1e-9 {
+				return fmt.Errorf("experiments: %s N=%d: policy %s beat the oracle — bug",
+					site, n, sel.Name())
+			}
+			row.Policies = append(row.Policies, *r)
+		}
+		rows[i] = row
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }

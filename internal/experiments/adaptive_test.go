@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -34,6 +36,29 @@ func TestTableVI(t *testing.T) {
 				t.Errorf("%s/%s: %.4f far above static %.4f", r.Site, p.Policy, p.Report.MAPE, r.Static)
 			}
 		}
+	}
+}
+
+// TestTableVIWorkerCountInvariant pins TableVI's rows to be identical
+// whether its (site, N) cells run one at a time or on GOMAXPROCS workers.
+func TestTableVIWorkerCountInvariant(t *testing.T) {
+	seqCfg := QuickConfig()
+	seqCfg.Workers = 1
+	parCfg := QuickConfig()
+	parCfg.Workers = max(2, runtime.GOMAXPROCS(0))
+	seq, err := TableVI(seqCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := TableVI(parCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seq) != len(seqCfg.Sites)*len(seqCfg.Ns) {
+		t.Fatalf("%d rows for %d sites × %d Ns", len(seq), len(seqCfg.Sites), len(seqCfg.Ns))
+	}
+	if !reflect.DeepEqual(seq, par) {
+		t.Fatalf("TableVI rows differ between 1 and %d workers:\nseq: %+v\npar: %+v", parCfg.Workers, seq, par)
 	}
 }
 

@@ -84,7 +84,10 @@ type DayTypeError struct {
 }
 
 // ErrorByDayType scores each day of a site's trace separately and
-// aggregates MAPE by the day's realised weather type.
+// aggregates MAPE by the day's realised weather type. The evaluator comes
+// from the experiment store when one is set; the labels come from
+// replaying the site's cloud process alone (dataset.Plans), which draws
+// exactly the plans the trace was generated with.
 func ErrorByDayType(cfg Config, site string, n int, params core.Params) (*DayTypeError, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -94,15 +97,11 @@ func ErrorByDayType(cfg Config, site string, n int, params core.Params) (*DayTyp
 		return nil, err
 	}
 	st.Days = cfg.Days
-	series, plans, err := dataset.GenerateLabeled(st)
+	plans, err := dataset.Plans(st)
 	if err != nil {
 		return nil, err
 	}
-	view, err := series.Slot(n)
-	if err != nil {
-		return nil, err
-	}
-	e, err := optimize.NewEval(view, optimize.WithWarmupDays(cfg.WarmupDays))
+	e, _, err := cfg.evalFor(site, n)
 	if err != nil {
 		return nil, err
 	}

@@ -48,6 +48,18 @@ func TestStoreOnOffEquivalence(t *testing.T) {
 		{"Fig7", func(cfg Config) (any, error) { return Fig7(cfg, 48) }},
 		{"Guidelines", func(cfg Config) (any, error) { return Guidelines(cfg, 48) }},
 		{"Baselines", func(cfg Config) (any, error) { return Baselines(cfg, 48, []float64{0.3, 0.7}) }},
+		{"TableVI", func(cfg Config) (any, error) { return TableVI(cfg) }},
+		{"ErrorByDayType", func(cfg Config) (any, error) {
+			var out []*DayTypeError
+			for _, site := range cfg.Sites {
+				r, err := ErrorByDayType(cfg, site, 48, GuidelineParams(48))
+				if err != nil {
+					return nil, err
+				}
+				out = append(out, r)
+			}
+			return out, nil
+		}},
 	}
 	for _, d := range drivers {
 		t.Run(d.name, func(t *testing.T) {

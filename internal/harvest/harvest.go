@@ -292,7 +292,10 @@ type Sim struct {
 	cfg         Config
 	store       Storage
 	slotSeconds float64
-	leakDays    float64
+	// leakFactor is the per-slot self-discharge multiplier,
+	// (1−LeakagePerDay)^(1/n): the factor Storage.Leak(1/n) applies,
+	// computed once instead of every slot.
+	leakFactor float64
 
 	res                Result
 	dutySum, dutySumSq float64
@@ -315,7 +318,7 @@ func NewSim(cfg Config, n int) (Sim, error) {
 		cfg:         cfg,
 		store:       *store,
 		slotSeconds: float64(timeseries.MinutesPerDay/n) * 60,
-		leakDays:    1 / float64(n),
+		leakFactor:  math.Pow(1-cfg.LeakagePerDay, 1/float64(n)),
 	}, nil
 }
 
@@ -339,7 +342,7 @@ func (s *Sim) Step(predictedPower, actualMeanPower float64) (duty float64) {
 	if got < want-1e-12 {
 		s.res.DownSlots++
 	}
-	s.store.Leak(s.leakDays)
+	s.store.levelJ *= s.leakFactor
 
 	s.dutySum += duty
 	s.dutySumSq += duty * duty

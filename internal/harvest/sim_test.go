@@ -1,6 +1,7 @@
 package harvest
 
 import (
+	"math"
 	"testing"
 
 	"solarpred/internal/core"
@@ -66,6 +67,60 @@ func TestSimMatchesSimulate(t *testing.T) {
 	got := sim.Result()
 	if got != *want {
 		t.Fatalf("step loop diverged from Simulate:\n got %+v\nwant %+v", got, *want)
+	}
+}
+
+// TestSimLeakFactorMatchesStorageLeak pins Step's precomputed per-slot
+// leak factor against a reference loop that repeats Step's arithmetic
+// with a Storage.Leak call every slot: every Result field must be
+// equal, over leakage rates including zero and several slot counts.
+func TestSimLeakFactorMatchesStorageLeak(t *testing.T) {
+	for _, n := range []int{24, 48, 96} {
+		v := stepView(t, "SPMD", 12, n)
+		for _, leak := range []float64{0, 0.001, 0.02, 0.3} {
+			cfg := DefaultConfig()
+			cfg.LeakagePerDay = leak
+			sim, err := NewSim(cfg, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			store, err := NewStorage(cfg.StorageCapacityJ, cfg.ChargeEfficiency, cfg.LeakagePerDay, cfg.InitialFraction)
+			if err != nil {
+				t.Fatal(err)
+			}
+			slotSeconds := sim.SlotSeconds()
+			var ref Result
+			var dutySum, dutySumSq float64
+			for tt := 0; tt < v.TotalSlots(); tt++ {
+				day, slot := v.Split(tt)
+				predicted := v.Start[tt] * 0.9
+				actual := v.MeanAt(day, slot)
+				sim.Step(predicted, actual)
+
+				duty := cfg.Controller.Duty(cfg.Load, store, cfg.Panel.Power(predicted)*slotSeconds, slotSeconds)
+				actualJ := cfg.Panel.Power(actual) * slotSeconds
+				ref.HarvestedJ += actualJ
+				ref.WastedJ += store.Charge(actualJ)
+				want := cfg.Load.EnergyJ(duty, slotSeconds)
+				got := store.Discharge(want)
+				ref.ConsumedJ += got
+				if got < want-1e-12 {
+					ref.DownSlots++
+				}
+				store.Leak(1 / float64(n))
+				dutySum += duty
+				dutySumSq += duty * duty
+				ref.Slots++
+			}
+			ref.MeanDuty = dutySum / float64(ref.Slots)
+			if variance := dutySumSq/float64(ref.Slots) - ref.MeanDuty*ref.MeanDuty; variance > 0 {
+				ref.DutyStd = math.Sqrt(variance)
+			}
+			ref.FinalFraction = store.Fraction()
+			if got := sim.Result(); got != ref {
+				t.Fatalf("N=%d leak=%v: Sim diverged from the Storage.Leak loop:\n got %+v\nwant %+v", n, leak, got, ref)
+			}
+		}
 	}
 }
 

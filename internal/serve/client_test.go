@@ -207,12 +207,20 @@ func TestClientAgainstService(t *testing.T) {
 		Base:       ts.URL,
 		MaxRetries: 8,
 		sleep: func(ctx context.Context, d time.Duration) error {
-			// First shed observed: unwedge the service, then "wait".
+			// First shed observed: unwedge the service, then wait until
+			// the wedged flight has released admission, as a real
+			// Retry-After wait would.
 			wedge.Store(false)
 			select {
 			case <-gate:
 			default:
 				close(gate)
+			}
+			for svc.backlog.Load() > 0 {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+				time.Sleep(time.Millisecond)
 			}
 			return nil
 		},

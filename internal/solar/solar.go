@@ -94,10 +94,15 @@ func EquationOfTime(doy int) float64 {
 // midnight) at the given site and day of year to apparent solar time in
 // minutes.
 func SolarTime(site Site, doy int, clockMinutes float64) float64 {
-	// 4 minutes per degree of longitude away from the timezone meridian.
+	return clockMinutes + solarTimeCorrection(site, doy)
+}
+
+// solarTimeCorrection is apparent solar time minus local clock time in
+// minutes: 4 minutes per degree of longitude away from the timezone
+// meridian, plus the equation of time.
+func solarTimeCorrection(site Site, doy int) float64 {
 	meridian := site.TimezoneHours * 15
-	correction := 4*(site.LongitudeDeg-meridian) + EquationOfTime(doy)
-	return clockMinutes + correction
+	return 4*(site.LongitudeDeg-meridian) + EquationOfTime(doy)
 }
 
 // HourAngle converts apparent solar time in minutes to the hour angle in
@@ -183,9 +188,7 @@ func SunriseSunset(site Site, doy int) (rise, set float64) {
 	if length <= 0 {
 		return 720, 720
 	}
-	meridian := site.TimezoneHours * 15
-	correction := 4*(site.LongitudeDeg-meridian) + EquationOfTime(doy)
-	solarNoonClock := 720 - correction
+	solarNoonClock := 720 - solarTimeCorrection(site, doy)
 	return solarNoonClock - length/2, solarNoonClock + length/2
 }
 
@@ -193,15 +196,33 @@ func SunriseSunset(site Site, doy int) (rise, set float64) {
 // day at the given resolution. Samples are taken at the start of each
 // interval (consistent with a data logger time-stamping at interval
 // starts). len(out) must be 1440/resolutionMinutes.
+//
+// Each sample equals ClearSkyGHI(PositionAt(site, doy, minutes).Elevation)
+// bit for bit. The terms that depend only on the day — declination, the
+// solar-time correction and the two latitude/declination products — are
+// computed once, with the same operands in the same association as
+// PositionAt, so a sample costs one cos, asin, sin and exp. Below the
+// horizon (sin elevation ≤ 0) ClearSkyGHI is 0 whatever asin and sin
+// return, so night samples skip them.
 func ClearSkyDay(site Site, doy int, resolutionMinutes int, out []float64) error {
 	perDay := 1440 / resolutionMinutes
 	if len(out) != perDay {
 		return fmt.Errorf("solar: out length %d, want %d", len(out), perDay)
 	}
+	decl := Declination(doy)
+	correction := solarTimeCorrection(site, doy)
+	lat := site.LatitudeDeg * math.Pi / 180
+	sinTerm := math.Sin(lat) * math.Sin(decl)
+	cosTerm := math.Cos(lat) * math.Cos(decl)
 	for i := 0; i < perDay; i++ {
 		minutes := float64(i * resolutionMinutes)
-		pos := PositionAt(site, doy, minutes)
-		out[i] = ClearSkyGHI(pos.Elevation)
+		h := HourAngle(minutes + correction)
+		sinEl := sinTerm + cosTerm*math.Cos(h)
+		if sinEl <= 0 {
+			out[i] = 0
+			continue
+		}
+		out[i] = ClearSkyGHI(math.Asin(clampUnit(sinEl)))
 	}
 	return nil
 }
