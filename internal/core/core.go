@@ -37,6 +37,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
@@ -52,6 +53,11 @@ const MuEpsilon = 1e-9
 // factor is O(1). The clamp is dimensionless, so predictions remain
 // positively homogeneous in the input power scale.
 const EtaMax = 4.0
+
+// ErrDerived is returned by Observe and Reset on a predictor made by
+// Derive: it shares its history with the predictor it came from, so it
+// cannot advance or clear that history on its own.
+var ErrDerived = errors.New("core: derived predictor is read-only")
 
 // Params are the tunable parameters of the prediction algorithm at a
 // fixed sampling rate N.
@@ -98,6 +104,10 @@ func (p Params) Validate() error {
 // it, and treat the published predictor as read-only — the pattern
 // internal/serve follows, verified under -race. A session that needs to
 // keep observing owns its predictor exclusively and never shares it.
+//
+// Derive builds a read-only view of a predictor under another (α, K):
+// the history matrix, μD table and observed samples depend only on D,
+// so one replay per D serves every (α, K).
 type Predictor struct {
 	params Params
 	n      int // slots per day
@@ -139,6 +149,10 @@ type Predictor struct {
 	phiP    float64
 	phiW    float64
 	phiDen  float64
+
+	// derived marks a view made by Derive: hist, muTable, cur and prev
+	// belong to the predictor it was derived from.
+	derived bool
 }
 
 // New creates a Predictor for n slots per day with the given parameters.
@@ -164,11 +178,66 @@ func New(n int, params Params) (*Predictor, error) {
 	for i := range p.hist {
 		p.hist[i] = make([]float64, n)
 	}
-	for i := 1; i <= params.K; i++ {
-		p.phiDen += float64(i) / float64(params.K)
-	}
+	p.phiDen = phiDen(params.K)
 	p.resetPhiWindow()
 	return p, nil
+}
+
+// phiDen returns Σθ(i) = Σ i/k, accumulated in the direct walk's order.
+func phiDen(k int) float64 {
+	var den float64
+	for i := 1; i <= k; i++ {
+		den += float64(i) / float64(k)
+	}
+	return den
+}
+
+// Derive returns a read-only predictor for params over p's history: the
+// state a predictor constructed with params would hold after the same
+// observations, bit for bit. params.D must equal p's D (the history
+// matrix depends on it); α and K are free, with K ≤ N.
+//
+// The derived predictor shares p's history matrix, μD table and
+// observed samples and owns only its ΦK window, which it rebuilds in
+// O(K + N) with the operations Observe performed, in the same order:
+// the day-roll resync (or the initial neutral window before the first
+// roll), then one slide per slot observed today. p must not be observed
+// or reset while derived predictors are in use; Observe and Reset on the
+// derived predictor return ErrDerived.
+func (p *Predictor) Derive(params Params) (*Predictor, error) {
+	if err := params.Validate(); err != nil {
+		return nil, err
+	}
+	if params.D != p.params.D {
+		return nil, fmt.Errorf("core: cannot derive D %d from a predictor with D %d", params.D, p.params.D)
+	}
+	if params.K > p.n {
+		return nil, fmt.Errorf("core: K %d exceeds slots per day %d", params.K, p.n)
+	}
+	v := &Predictor{
+		params:    params,
+		n:         p.n,
+		hist:      p.hist,
+		histNext:  p.histNext,
+		histDays:  p.histDays,
+		cur:       p.cur,
+		curSlot:   p.curSlot,
+		prev:      p.prev,
+		prevValid: p.prevValid,
+		muTable:   p.muTable,
+		etaRing:   make([]float64, params.K),
+		phiDen:    phiDen(params.K),
+		derived:   true,
+	}
+	if v.prevValid {
+		v.resyncPhi()
+	} else {
+		v.resetPhiWindow()
+	}
+	for j := 0; j < v.curSlot; j++ {
+		v.slidePhi(etaFor(v.cur[j], v.muTable[j]))
+	}
+	return v, nil
 }
 
 // N returns the configured slots per day.
@@ -191,6 +260,9 @@ func (p *Predictor) Ready() bool { return p.histDays >= p.params.D }
 // Observe mutates the predictor and must only be called by its owning
 // session goroutine; see the Predictor ownership contract.
 func (p *Predictor) Observe(slot int, power float64) error {
+	if p.derived {
+		return ErrDerived
+	}
 	if slot < 0 || slot >= p.n {
 		return fmt.Errorf("core: slot %d out of range [0,%d)", slot, p.n)
 	}
@@ -265,17 +337,27 @@ func (p *Predictor) rollDay() {
 		p.histDays++
 	}
 	p.curSlot = 0
-	days := float64(p.histDays)
-	for j := 0; j < p.n; j++ {
-		var sum float64
-		for r := 0; r < p.histDays; r++ {
-			sum += p.hist[r][j]
+	// Row-major: each slot still sums rows 0..histDays−1 in order from
+	// zero, so the table is bit-identical to a per-slot column sum.
+	mu := p.muTable
+	clear(mu)
+	for _, row := range p.hist[:p.histDays] {
+		for j, x := range row {
+			mu[j] += x
 		}
-		p.muTable[j] = sum / days
 	}
-	// Resync the rolling ΦK window: the μD table just changed, so the η
-	// ratios of the last K observed slots (the tail of the day that just
-	// rolled into prev) must be recomputed against the new history.
+	days := float64(p.histDays)
+	for j := range mu {
+		mu[j] /= days
+	}
+	p.resyncPhi()
+}
+
+// resyncPhi rebuilds the rolling ΦK window from the last K slots of the
+// previous day against the current μD table. rollDay calls it because
+// the table just changed, so the resident ratios must be recomputed
+// against the new history.
+func (p *Predictor) resyncPhi() {
 	k := p.params.K
 	p.ringPos = 0
 	p.phiP, p.phiW = 0, 0
@@ -490,8 +572,12 @@ func Combine(alpha, pers, cond float64) float64 {
 }
 
 // Reset clears all state, returning the predictor to its initial
-// condition with the same parameters.
-func (p *Predictor) Reset() {
+// condition with the same parameters. A derived predictor refuses with
+// ErrDerived.
+func (p *Predictor) Reset() error {
+	if p.derived {
+		return ErrDerived
+	}
 	for i := range p.hist {
 		for j := range p.hist[i] {
 			p.hist[i][j] = 0
@@ -505,4 +591,5 @@ func (p *Predictor) Reset() {
 	p.histNext, p.histDays, p.curSlot = 0, 0, 0
 	p.prevValid = false
 	p.resetPhiWindow()
+	return nil
 }

@@ -49,7 +49,9 @@
 // as core.Predictor: Observe from exactly one goroutine; between
 // Observes any number of concurrent readers may call Forecast, Quality
 // and Stats. A serving layer replays the stream, then publishes the
-// guard read-only (the pattern internal/serve follows).
+// guard read-only (the pattern internal/serve follows). Derive builds a
+// read-only view of a replayed guard under another (α, K): no detector
+// reads α or K, so one replay per (N, D) serves them all.
 package guard
 
 import (
@@ -231,6 +233,10 @@ type Guard struct {
 	detected [4]uint64
 	repaired uint64
 	quality  float64
+
+	// derived marks a view made by Derive, which shares peakRing and
+	// the predictor's history with the guard it was derived from.
+	derived bool
 }
 
 // New creates a guarded predictor for n slots per day.
@@ -264,6 +270,23 @@ func (g *Guard) Config() Config { return g.cfg }
 // cross-checks in tests). Callers must respect the ownership contract.
 func (g *Guard) Predictor() *core.Predictor { return g.p }
 
+// Derive returns a read-only guard for params over g's replayed stream:
+// the guard that New(g.N(), params, g.Config()) would be after the same
+// observations, bit for bit. The detector and quality state is copied
+// and the predictor is core.Predictor.Derive of g's, so params.D must
+// equal g's D. g must not be observed while derived guards are in use;
+// Observe on the derived guard returns core.ErrDerived.
+func (g *Guard) Derive(params core.Params) (*Guard, error) {
+	p, err := g.p.Derive(params)
+	if err != nil {
+		return nil, err
+	}
+	v := *g
+	v.p = p
+	v.derived = true
+	return &v, nil
+}
+
 // Quality returns the current recent-quality score in [0,1]: an EWMA of
 // the unflagged-sample fraction, with the bounded drift penalty mixed in
 // while the envelope alarm is active.
@@ -291,6 +314,9 @@ func (g *Guard) Stats() Stats {
 // contract. The returned error is the predictor's — a flagged sample is
 // not an error; absorbing it is the guard's job.
 func (g *Guard) Observe(slot int, power float64) error {
+	if g.derived {
+		return core.ErrDerived
+	}
 	if slot == 0 && g.samples > 0 {
 		g.rollDay()
 	}

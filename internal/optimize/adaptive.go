@@ -3,6 +3,7 @@ package optimize
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"solarpred/internal/adaptive"
 	"solarpred/internal/core"
@@ -31,6 +32,19 @@ type AdaptiveResult struct {
 // oracle: same grid, same scoring, but the choice uses only past
 // information, so it could run on the node as-is.
 func (e *Eval) AdaptiveEval(d int, cands []adaptive.Candidate, sel adaptive.Selector, ref RefKind) (*AdaptiveResult, error) {
+	res, err := e.AdaptiveEvalMulti(d, cands, []adaptive.Selector{sel}, ref)
+	if err != nil {
+		return nil, err
+	}
+	return &res[0], nil
+}
+
+// AdaptiveEvalMulti runs several policies over one pass of the trace,
+// returning one result per selector in order, each the same as its own
+// AdaptiveEval. The candidates' Eq. 1 terms and the full-information loss
+// vector are computed once per slot and fed to every selector (selectors
+// only read the losses). sels must be distinct instances.
+func (e *Eval) AdaptiveEvalMulti(d int, cands []adaptive.Candidate, sels []adaptive.Selector, ref RefKind) ([]AdaptiveResult, error) {
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("optimize: no candidates")
 	}
@@ -46,20 +60,27 @@ func (e *Eval) AdaptiveEval(d int, cands []adaptive.Candidate, sel adaptive.Sele
 	if err := e.checkConfig(d, maxK); err != nil {
 		return nil, err
 	}
-	acc, err := metrics.NewAccumulator(e.Threshold(ref))
-	if err != nil {
-		return nil, err
+	accs := make([]*metrics.Accumulator, len(sels))
+	for i, sel := range sels {
+		acc, err := metrics.NewAccumulator(e.Threshold(ref))
+		if err != nil {
+			return nil, err
+		}
+		accs[i] = acc
+		sel.Reset()
 	}
-	sel.Reset()
 
-	// Distinct K values so Φ is computed once per K, not per candidate.
-	kIndex := map[int]int{}
+	// Distinct K values so Φ is computed once per K, not per candidate;
+	// candK[i] indexes cands[i]'s K in ks.
 	var ks []int
-	for _, c := range cands {
-		if _, ok := kIndex[c.K]; !ok {
-			kIndex[c.K] = len(ks)
+	candK := make([]int, len(cands))
+	for i, c := range cands {
+		j := slices.Index(ks, c.K)
+		if j < 0 {
+			j = len(ks)
 			ks = append(ks, c.K)
 		}
+		candK[i] = j
 	}
 	conds := make([]float64, len(ks))
 	losses := make([]float64, len(cands))
@@ -84,8 +105,12 @@ func (e *Eval) AdaptiveEval(d int, cands []adaptive.Candidate, sel adaptive.Sele
 	invD := 1 / float64(d)
 	thr := e.Threshold(ref)
 	first, last := e.sourceRange()
-	res := &AdaptiveResult{Policy: sel.Name()}
-	prevChoice := -1
+	res := make([]AdaptiveResult, len(sels))
+	prevChoice := make([]int, len(sels))
+	for i, sel := range sels {
+		res[i].Policy = sel.Name()
+		prevChoice[i] = -1
+	}
 	prevInROI := false
 	dayStart := first // first is day-aligned (warmupDays·N)
 	for t := first; t <= last; t++ {
@@ -104,30 +129,34 @@ func (e *Eval) AdaptiveEval(d int, cands []adaptive.Candidate, sel adaptive.Sele
 		for i := range ks {
 			conds[i] = mu * sc.rollPhi(i)
 		}
-		choice := sel.Choose()
-		if choice < 0 || choice >= len(cands) {
-			return nil, fmt.Errorf("optimize: policy %s chose out-of-range arm %d", sel.Name(), choice)
-		}
-		if choice != prevChoice {
-			if prevChoice >= 0 {
-				res.SwitchCount++
+		for i, sel := range sels {
+			choice := sel.Choose()
+			if choice < 0 || choice >= len(cands) {
+				return nil, fmt.Errorf("optimize: policy %s chose out-of-range arm %d", sel.Name(), choice)
 			}
-			prevChoice = choice
+			if choice != prevChoice[i] {
+				if prevChoice[i] >= 0 {
+					res[i].SwitchCount++
+				}
+				prevChoice[i] = choice
+			}
+			accs[i].Add(core.Combine(cands[choice].Alpha, pers, conds[candK[choice]]), refVal)
 		}
-		chosen := cands[choice]
-		pred := core.Combine(chosen.Alpha, pers, conds[kIndex[chosen.K]])
-		acc.Add(pred, refVal)
 
 		// Full-information feedback for every candidate.
 		for i, c := range cands {
-			p := core.Combine(c.Alpha, pers, conds[kIndex[c.K]])
+			p := core.Combine(c.Alpha, pers, conds[candK[i]])
 			losses[i] = adaptive.LossScale(math.Abs(refVal-p), refVal, lossFloor)
 		}
-		sel.Update(losses)
+		for _, sel := range sels {
+			sel.Update(losses)
+		}
 	}
-	res.Report = acc.Snapshot()
-	if prevChoice >= 0 {
-		res.FinalCandidate = cands[prevChoice]
+	for i := range res {
+		res[i].Report = accs[i].Snapshot()
+		if prevChoice[i] >= 0 {
+			res[i].FinalCandidate = cands[prevChoice[i]]
+		}
 	}
 	return res, nil
 }

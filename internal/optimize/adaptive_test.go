@@ -54,14 +54,7 @@ func TestAdaptivePoliciesLandBetweenStaticAndOracle(t *testing.T) {
 	}
 	static := res.Best.Report.MAPE
 
-	mk := func() []adaptive.Selector {
-		f, _ := adaptive.NewFollowTheLeader(len(cands))
-		d, _ := adaptive.NewDiscounted(len(cands), 0.995)
-		w, _ := adaptive.NewSlidingWindow(len(cands), 3*24)
-		h, _ := adaptive.NewHedge(len(cands), 0.2)
-		return []adaptive.Selector{f, d, w, h}
-	}
-	for _, sel := range mk() {
+	for _, sel := range fourPolicies(len(cands)) {
 		r, err := e.AdaptiveEval(10, cands, sel, RefSlotMean)
 		if err != nil {
 			t.Fatalf("%s: %v", sel.Name(), err)
@@ -83,6 +76,35 @@ func TestAdaptivePoliciesLandBetweenStaticAndOracle(t *testing.T) {
 		}
 		if r.Policy != sel.Name() {
 			t.Errorf("policy name mismatch: %s vs %s", r.Policy, sel.Name())
+		}
+	}
+}
+
+// fourPolicies builds one fresh instance of each selector kind.
+func fourPolicies(n int) []adaptive.Selector {
+	f, _ := adaptive.NewFollowTheLeader(n)
+	d, _ := adaptive.NewDiscounted(n, 0.995)
+	w, _ := adaptive.NewSlidingWindow(n, 3*24)
+	h, _ := adaptive.NewHedge(n, 0.2)
+	return []adaptive.Selector{f, d, w, h}
+}
+
+// TestAdaptiveEvalMultiMatchesSingle pins the shared pass: scoring four
+// policies together returns, for each, exactly what its own
+// AdaptiveEval returns.
+func TestAdaptiveEvalMultiMatchesSingle(t *testing.T) {
+	e, cands, _ := adaptiveFixture(t)
+	multi, err := e.AdaptiveEvalMulti(10, cands, fourPolicies(len(cands)), RefSlotMean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sel := range fourPolicies(len(cands)) {
+		single, err := e.AdaptiveEval(10, cands, sel, RefSlotMean)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if multi[i] != *single {
+			t.Errorf("%s: shared pass %+v, own pass %+v", sel.Name(), multi[i], *single)
 		}
 	}
 }

@@ -22,12 +22,15 @@
 //
 // Forecasts run behind guard.Guard, the online input-quality gate: the
 // guard is replayed over a site's cached slot view inside the single
-// computing goroutine of a batcher flight, then published read-only —
-// every subsequent forecast for the tuple calls the guard's non-mutating
-// Forecast. Observe is never exposed over the API. On the generator's
-// clean traces the guard is invisible (forecasts bit-identical to a raw
-// core.Predictor); on damaged inputs it repairs what it can and falls
-// back to the μD climatology, surfacing degraded: true.
+// computing goroutine of a batcher flight, then published read-only.
+// Nothing a replay computes depends on α or K, so there is one replay
+// per (site, days, N, D), and each request derives its (α, K) view from
+// it in O(K + N) (guard.Guard.Derive); the service keeps no state per
+// distinct (α, K). Observe is never exposed over the API. On the
+// generator's clean traces the guard is invisible (forecasts
+// bit-identical to a raw core.Predictor); on damaged inputs it repairs
+// what it can and falls back to the μD climatology, surfacing
+// degraded: true.
 //
 // Failure ladder, outside in: a request beyond the admission bound is
 // shed with 429 before touching compute; a key class whose computations
@@ -43,7 +46,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -130,18 +132,17 @@ type Service struct {
 	// and read-only afterwards.
 	metrics map[string]*endpointMetrics
 
-	// preds holds replayed guarded predictors published read-only, keyed
-	// by (site, days, N, params). Populated under batcher flights;
-	// flushed by Reset.
-	predMu sync.Mutex
-	preds  map[string]*guard.Guard
+	// bases holds replayed guards published read-only, keyed by
+	// tupleKey.base(). Populated under batcher flights; flushed by Reset.
+	baseMu sync.Mutex
+	bases  map[tupleKey]*guard.Guard
 
 	// stale is the last-good forecast per tuple, served flagged
 	// degraded+stale while the forecast breaker is open. It deliberately
 	// survives Reset — it is the degraded-mode safety net, not a cache
 	// of record — and is bounded at staleCap entries.
 	staleMu sync.Mutex
-	stale   map[string]*ForecastResult
+	stale   map[tupleKey]*ForecastResult
 }
 
 // New validates the configuration and starts the service's batch loop.
@@ -192,8 +193,8 @@ func New(cfg Config) (*Service, error) {
 			classForecast: newBreaker(threshold, cooldown),
 			classGrid:     newBreaker(threshold, cooldown),
 		},
-		preds:   make(map[string]*guard.Guard),
-		stale:   make(map[string]*ForecastResult),
+		bases:   make(map[tupleKey]*guard.Guard),
+		stale:   make(map[tupleKey]*ForecastResult),
 		metrics: make(map[string]*endpointMetrics),
 	}
 	for _, ep := range endpointNames {
@@ -241,9 +242,6 @@ func IsBadRequest(err error) bool {
 	return errors.As(err, &b) || errors.Is(err, timeseries.ErrSlotting)
 }
 
-// fkey formats a float exactly for a batcher/cache key.
-func fkey(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
-
 // checkSiteN validates the request's (site, n) against the dataset.
 func (s *Service) checkSiteN(site string, n int) error {
 	if site == "" {
@@ -289,12 +287,31 @@ type ForecastResult struct {
 	Quality float64 `json:"quality"`
 }
 
+// tupleKey identifies a forecast tuple. Its base — (site, days, N, D) —
+// is all a guard replay depends on.
+type tupleKey struct {
+	site    string
+	days, n int
+	params  core.Params
+	horizon int
+}
+
+// base is the key of the replay every view of the tuple derives from.
+func (k tupleKey) base() tupleKey {
+	return tupleKey{site: k.site, days: k.days, n: k.n, params: core.Params{D: k.params.D}}
+}
+
+// flight formats the batcher key of the tuple's base replay.
+func (k tupleKey) flight() string {
+	return fmt.Sprintf("pred|%s|%d|%d|d%d", k.site, k.days, k.n, k.params.D)
+}
+
 // Forecast serves the next horizon slot forecasts for a site at sampling
-// rate n under the given predictor parameters, replaying the guarded
-// predictor over the site's cached slot view on first use and reusing
-// the published read-only guard afterwards. While the forecast breaker
-// is open, the last-good result for the tuple is served flagged
-// degraded+stale if one exists.
+// rate n under the given predictor parameters. The guard for (site, n,
+// D) is replayed over the site's cached slot view on first use and
+// published read-only; every request derives its (α, K) view from it.
+// While the forecast breaker is open, the last-good result for the
+// tuple is served flagged degraded+stale if one exists.
 func (s *Service) Forecast(ctx context.Context, site string, n, horizon int, params core.Params) (*ForecastResult, error) {
 	if err := s.checkSiteN(site, n); err != nil {
 		return nil, err
@@ -308,7 +325,12 @@ func (s *Service) Forecast(ctx context.Context, site string, n, horizon int, par
 	if params.K > n {
 		return nil, badf("k=%d exceeds n=%d", params.K, n)
 	}
-	key := s.forecastKey(site, n, horizon, params)
+	// Each distinct D costs one replay kept until Reset, so D is capped
+	// at the replay length: a deeper history window sees no more days.
+	if params.D > s.cfg.Days {
+		return nil, badf("d=%d exceeds the %d-day trace", params.D, s.cfg.Days)
+	}
+	key := tupleKey{site: site, days: s.cfg.Days, n: n, params: params, horizon: horizon}
 	br := s.breakers[classForecast]
 	if ok, retry := br.allow(); !ok {
 		if res := s.staleFor(key); res != nil {
@@ -316,7 +338,7 @@ func (s *Service) Forecast(ctx context.Context, site string, n, horizon int, par
 		}
 		return nil, &RetryableError{Err: ErrBreakerOpen, RetryAfter: retry}
 	}
-	res, err := s.forecast(ctx, site, n, horizon, params)
+	res, err := s.forecast(ctx, key)
 	resolveBreaker(br, err)
 	if err != nil {
 		return nil, err
@@ -326,41 +348,36 @@ func (s *Service) Forecast(ctx context.Context, site string, n, horizon int, par
 }
 
 // forecast is the breaker-guarded body of Forecast.
-func (s *Service) forecast(ctx context.Context, site string, n, horizon int, params core.Params) (*ForecastResult, error) {
-	g, err := s.predictor(ctx, site, n, params)
+func (s *Service) forecast(ctx context.Context, key tupleKey) (*ForecastResult, error) {
+	g, err := s.predictor(ctx, key)
 	if err != nil {
 		return nil, err
 	}
-	f, err := g.Forecast(horizon)
+	f, err := g.Forecast(key.horizon)
 	if err != nil {
 		return nil, err
 	}
-	view, err := s.store.View(site, s.cfg.Days, n)
+	view, err := s.store.View(key.site, key.days, key.n)
 	if err != nil {
 		return nil, err
 	}
+	p := key.params
 	return &ForecastResult{
-		Site:        site,
-		N:           n,
+		Site:        key.site,
+		N:           key.n,
 		SlotMinutes: view.SlotMinutes,
-		Params:      Params{Alpha: params.Alpha, D: params.D, K: params.K},
+		Params:      Params{Alpha: p.Alpha, D: p.D, K: p.K},
 		HistoryDays: g.Predictor().HistoryDays(),
-		NextSlot:    view.TotalSlots() % n,
-		Horizon:     horizon,
+		NextSlot:    view.TotalSlots() % key.n,
+		Horizon:     key.horizon,
 		Watts:       f.Watts,
 		Degraded:    f.Degraded,
 		Quality:     f.Quality,
 	}, nil
 }
 
-// forecastKey identifies a forecast tuple for the stale cache.
-func (s *Service) forecastKey(site string, n, horizon int, params core.Params) string {
-	return fmt.Sprintf("f|%s|%d|%d|%d|a%s,d%d,k%d",
-		site, s.cfg.Days, n, horizon, fkey(params.Alpha), params.D, params.K)
-}
-
 // staleFor returns a degraded copy of the tuple's last-good forecast.
-func (s *Service) staleFor(key string) *ForecastResult {
+func (s *Service) staleFor(key tupleKey) *ForecastResult {
 	s.staleMu.Lock()
 	last, ok := s.stale[key]
 	s.staleMu.Unlock()
@@ -377,7 +394,7 @@ func (s *Service) staleFor(key string) *ForecastResult {
 // fallback. Degraded results are not kept — the fallback must be the
 // last *healthy* answer. The cache is bounded: at capacity an arbitrary
 // entry is dropped (any last-good answer beats refusing service).
-func (s *Service) keepStale(key string, res *ForecastResult) {
+func (s *Service) keepStale(key tupleKey, res *ForecastResult) {
 	if res.Degraded {
 		return
 	}
@@ -392,48 +409,49 @@ func (s *Service) keepStale(key string, res *ForecastResult) {
 	s.staleMu.Unlock()
 }
 
-// predictor returns the published guarded predictor for (site, n,
-// params), replaying it under a batcher flight on first use. Concurrent
-// first requests for one tuple coalesce into a single replay.
-func (s *Service) predictor(ctx context.Context, site string, n int, params core.Params) (*guard.Guard, error) {
-	key := fmt.Sprintf("pred|%s|%d|%d|a%s,d%d,k%d",
-		site, s.cfg.Days, n, fkey(params.Alpha), params.D, params.K)
-	s.predMu.Lock()
-	g, ok := s.preds[key]
-	s.predMu.Unlock()
-	if ok {
-		return g, nil
+// predictor returns the guard for key's (α, K), derived from the
+// published replay of its base. On first use the base is replayed under
+// a batcher flight; concurrent first requests for one base — whatever
+// their (α, K) — coalesce into a single replay.
+func (s *Service) predictor(ctx context.Context, key tupleKey) (*guard.Guard, error) {
+	bk := key.base()
+	s.baseMu.Lock()
+	g, ok := s.bases[bk]
+	s.baseMu.Unlock()
+	if !ok {
+		v, _, err := s.batcher.Submit(ctx, bk.flight(), func(fctx context.Context) (any, error) {
+			return s.replay(fctx, bk)
+		})
+		if err != nil {
+			return nil, err
+		}
+		g = v.(*guard.Guard)
+		// Publish: from here on the guard is read-only (storing the same
+		// pointer twice from coalesced waiters is idempotent).
+		s.baseMu.Lock()
+		s.bases[bk] = g
+		s.baseMu.Unlock()
 	}
-	v, _, err := s.batcher.Submit(ctx, key, func(fctx context.Context) (any, error) {
-		return s.replay(fctx, site, n, params)
-	})
-	if err != nil {
-		return nil, err
-	}
-	g = v.(*guard.Guard)
-	// Publish: from here on the guard is read-only (storing the same
-	// pointer twice from coalesced waiters is idempotent).
-	s.predMu.Lock()
-	s.preds[key] = g
-	s.predMu.Unlock()
-	return g, nil
+	return g.Derive(key.params)
 }
 
 // replay is the session-ownership step of the guard's contract: the
-// guarded predictor is constructed and fed the site's whole observation
-// stream inside the single computing goroutine of a batcher flight,
-// before being published read-only. The flight context is polled at day
+// base guard is constructed and fed the site's whole observation stream
+// inside the single computing goroutine of a batcher flight, before
+// being published read-only. It runs at K = 1 (the cheapest window;
+// views rebuild their own). The flight context is polled at day
 // boundaries so an abandoned replay stops instead of finishing for
 // nobody.
-func (s *Service) replay(ctx context.Context, site string, n int, params core.Params) (*guard.Guard, error) {
-	view, err := s.store.View(site, s.cfg.Days, n)
+func (s *Service) replay(ctx context.Context, bk tupleKey) (*guard.Guard, error) {
+	view, err := s.store.View(bk.site, bk.days, bk.n)
 	if err != nil {
 		return nil, err
 	}
-	g, err := guard.New(n, params, s.guardCfg)
+	g, err := guard.New(bk.n, core.Params{D: bk.params.D, K: 1}, s.guardCfg)
 	if err != nil {
 		return nil, err
 	}
+	n := bk.n
 	for t := 0; t < view.TotalSlots(); t++ {
 		if t%n == 0 && ctx.Err() != nil {
 			return nil, ctx.Err()
@@ -445,14 +463,14 @@ func (s *Service) replay(ctx context.Context, site string, n int, params core.Pa
 	return g, nil
 }
 
-// GuardStats returns the published guard's detector snapshot for a
-// tuple, if its replay has happened (same key as predictor).
+// GuardStats returns the detector snapshot behind a tuple's forecasts,
+// if its base replay has happened. The detectors never see α or K, so
+// every tuple sharing (site, n, D) reports the same stats.
 func (s *Service) GuardStats(site string, n int, params core.Params) (guard.Stats, bool) {
-	key := fmt.Sprintf("pred|%s|%d|%d|a%s,d%d,k%d",
-		site, s.cfg.Days, n, fkey(params.Alpha), params.D, params.K)
-	s.predMu.Lock()
-	g, ok := s.preds[key]
-	s.predMu.Unlock()
+	key := tupleKey{site: site, days: s.cfg.Days, n: n, params: params}
+	s.baseMu.Lock()
+	g, ok := s.bases[key.base()]
+	s.baseMu.Unlock()
 	if !ok {
 		return guard.Stats{}, false
 	}
@@ -646,13 +664,13 @@ func (s *Service) Stats() StatsResult {
 }
 
 // Reset is the admin cache flush: it drops the store's entries and the
-// published predictors. Safe under live load — the store's Reset is
+// published base replays. Safe under live load — the store's Reset is
 // concurrency-safe and readers holding old objects keep them. The stale
 // forecast cache deliberately survives (it is the degraded-mode safety
 // net for the freshly-cold cache).
 func (s *Service) Reset() {
 	s.store.Reset()
-	s.predMu.Lock()
-	s.preds = make(map[string]*guard.Guard)
-	s.predMu.Unlock()
+	s.baseMu.Lock()
+	s.bases = make(map[tupleKey]*guard.Guard)
+	s.baseMu.Unlock()
 }

@@ -352,6 +352,8 @@ func TestServiceBadRequests(t *testing.T) {
 		"/v1/forecast?site=SPMD&n=48&horizon=0", // bad horizon
 		"/v1/forecast?site=SPMD&n=48&alpha=2",   // alpha out of range
 		"/v1/forecast?site=SPMD&n=48&k=96",      // K > n
+		"/v1/forecast?site=SPMD&n=48&d=31",      // D beyond the 30-day trace
+		"/v1/forecast?site=SPMD&n=48&d=100000",  // D beyond the 30-day trace
 		"/v1/forecast?site=SPMD&n=banana",       // unparsable
 		"/v1/forecast?site=SPMD&n=7",            // slotting undefined for 7
 		"/v1/grid?site=SPMD&n=24&ref=median",    // unknown ref
