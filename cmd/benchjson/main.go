@@ -353,7 +353,7 @@ func run(path string, iters int) error {
 	}
 
 	// Served-request latency: the same store behind cmd/solarpredd's HTTP
-	// API, measured as full round-trips (routing, batching, JSON encoding)
+	// API, measured as full round-trips (routing, single flight, JSON encoding)
 	// against an in-process listener. The grid tuple is already warm from
 	// the drivers above, so these entries price the serving layer itself.
 	svc, err := serve.New(serve.Config{Exp: cfg})

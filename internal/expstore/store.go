@@ -29,23 +29,26 @@
 //
 // # Single flight
 //
-// Concurrent requests for the same key are deduplicated: the first caller
-// computes while the rest block on the same flight and share its result.
-// Callers already waiting on a flight that fails share its error, but the
-// failed entry is evicted on completion, so the next request for the key
-// computes afresh instead of inheriting a permanently poisoned entry.
-// A failure is a property of the attempt, not of the key: under a
-// long-running server a transient error (an exhausted resource, a
-// cancelled dependency) must not wedge a tuple for the process lifetime.
-// Parallel (site, N) workers therefore never compute the same tuple
-// twice, and a tuple whose first computation fails succeeds on retry.
+// Each artefact kind has its own flight.Group. Concurrent requests for
+// the same key are deduplicated: the first caller's computation runs
+// once and every other caller shares its result. Callers already waiting
+// on a flight that fails share its error, but the failed entry is
+// evicted before they wake, so the next request for the key computes
+// afresh instead of inheriting a permanently poisoned entry. A failure
+// is a property of the attempt, not of the key: under a long-running
+// server a transient error (an exhausted resource, a cancelled
+// dependency) must not wedge a tuple for the process lifetime. A
+// TraceFunc that panics is such a failure too: every waiter gets a
+// *flight.PanicError and the key recomputes on the next call. Parallel
+// (site, N) workers therefore never compute the same tuple twice, and a
+// tuple whose first computation fails succeeds on retry.
 //
 // # Invalidation and memory bounds
 //
 // Successful entries are never invalidated: keys carry the full
 // provenance of their value and the underlying data is immutable for a
 // process lifetime, so entries never go stale and are never evicted
-// (failed flights are the one exception — they leave the map so retries
+// (failed flights are the one exception — they leave their group so retries
 // can proceed). Memory is bounded by the set of distinct keys requested —
 // dominated by the grid results (one cell per (α, D, K) point) and the
 // slot-view/evaluator columns, a few dozen MB at full paper scale. Reset
@@ -54,12 +57,13 @@
 package expstore
 
 import (
+	"context"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
+	"sync/atomic"
 
+	"solarpred/internal/flight"
 	"solarpred/internal/optimize"
 	"solarpred/internal/timeseries"
 )
@@ -94,11 +98,8 @@ func (o EvalOptions) apply() []optimize.Option {
 	return opts
 }
 
-// Fingerprint renders the options as an exact key component. Exported so
-// store consumers that maintain their own keyed layers (the request
-// batcher in internal/serve) can agree with the store about evaluator
-// identity.
-func (o EvalOptions) Fingerprint() string {
+// fingerprint renders the options as an exact key component.
+func (o EvalOptions) fingerprint() string {
 	return fmt.Sprintf("w%d,r%s,e%s", o.WarmupDays, fp(o.ROIFraction), fp(o.EtaMax))
 }
 
@@ -129,33 +130,6 @@ func SpaceFingerprint(s optimize.Space) string {
 	return "a=" + fpSlice(s.Alphas) + ";d=" + fpInts(s.Ds) + ";k=" + fpInts(s.Ks)
 }
 
-// Kind labels the cached artefact classes for the hit/miss counters.
-type Kind int
-
-const (
-	KindSeries Kind = iota
-	KindView
-	KindEval
-	KindGrid
-	numKinds
-)
-
-// String names the kind.
-func (k Kind) String() string {
-	switch k {
-	case KindSeries:
-		return "series"
-	case KindView:
-		return "view"
-	case KindEval:
-		return "eval"
-	case KindGrid:
-		return "grid"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
-	}
-}
-
 // Counter is a hit/miss pair for one artefact kind. A hit is a request
 // served from a completed or in-flight computation; a miss is a request
 // that had to compute.
@@ -167,6 +141,11 @@ type Counter struct {
 // Sub returns the counter delta since prev.
 func (c Counter) Sub(prev Counter) Counter {
 	return Counter{Hits: c.Hits - prev.Hits, Misses: c.Misses - prev.Misses}
+}
+
+// counter reads a group's counters as a hit/miss pair.
+func counter(st flight.Stats) Counter {
+	return Counter{Hits: st.Coalesced, Misses: st.Computations}
 }
 
 // Stats is a snapshot of the store's counters.
@@ -188,11 +167,37 @@ func (s Stats) Sub(prev Stats) Stats {
 	}
 }
 
-// flight is one single-flight computation slot.
-type flight struct {
-	done chan struct{}
-	val  any
-	err  error
+// Keys, one per artefact kind. Float-valued components enter as exact
+// fingerprints.
+type (
+	seriesKey struct {
+		site string
+		days int
+	}
+	viewKey struct {
+		seriesKey
+		n int
+	}
+	evalKey struct {
+		viewKey
+		opts string
+	}
+	gridKey struct {
+		evalKey
+		space string
+		ref   optimize.RefKind
+	}
+)
+
+// generation is one Reset epoch of the store: an unbounded single-flight
+// group per artefact kind, whose counters are the store's hit/miss
+// counters.
+type generation struct {
+	series  flight.Group[seriesKey, *timeseries.Series]
+	pyramid flight.Group[seriesKey, *timeseries.Pyramid]
+	view    flight.Group[viewKey, *timeseries.SlotView]
+	eval    flight.Group[evalKey, *optimize.Eval]
+	grid    flight.Group[gridKey, *optimize.SearchResult]
 }
 
 // Store is the concurrency-safe memoization layer. The zero value is not
@@ -203,13 +208,10 @@ type Store struct {
 	// derivation chain so cached views are bit-stable across runs and
 	// scheduling.
 	ladder []int
-
-	// mu guards the flight map and the counters together, so Reset's map
-	// swap and counter zeroing are one atomic step with respect to every
-	// hit/miss account.
-	mu      sync.Mutex
-	flights map[string]*flight
-	stats   [numKinds]Counter
+	// gen is swapped whole by Reset, so entries and counters reset in
+	// one step with respect to every reader. It is built on first use,
+	// which keeps New as cheap as a bare struct.
+	gen atomic.Pointer[generation]
 }
 
 // New builds a store over a trace generator. ladder lists the sampling
@@ -217,212 +219,104 @@ type Store struct {
 // experiment's N set); it may be nil, in which case every view is slotted
 // directly from the raw trace.
 func New(trace TraceFunc, ladder []int) *Store {
-	s := &Store{
-		trace:   trace,
-		ladder:  append([]int(nil), ladder...),
-		flights: make(map[string]*flight),
-	}
-	return s
+	return &Store{trace: trace, ladder: append([]int(nil), ladder...)}
 }
 
-// do runs compute under single-flight semantics for key, counting a miss
-// for the computing caller and a hit for everyone else. A failed flight
-// is evicted from the map before it publishes, so callers arriving after
-// the failure retry the computation rather than inheriting the error.
-func (s *Store) do(kind Kind, key string, compute func() (any, error)) (any, error) {
-	s.mu.Lock()
-	if f, ok := s.flights[key]; ok {
-		s.stats[kind].Hits++
-		s.mu.Unlock()
-		<-f.done
-		return f.val, f.err
+// generation returns the current generation, building the first one.
+func (s *Store) generation() *generation {
+	if g := s.gen.Load(); g != nil {
+		return g
 	}
-	f := &flight{done: make(chan struct{})}
-	s.flights[key] = f
-	s.stats[kind].Misses++
-	s.mu.Unlock()
-	if panicked := s.runFlight(key, f, compute); panicked != nil {
-		panic(panicked)
-	}
-	return f.val, f.err
-}
-
-// runFlight executes one flight's computation, evicts it on failure and
-// publishes the result. A panic inside compute is converted into the
-// flight's error — waiters retry like any failed flight instead of
-// hanging on a done channel that would never close — and is returned for
-// the computing caller to re-raise once the store is consistent again.
-func (s *Store) runFlight(key string, f *flight, compute func() (any, error)) (panicked any) {
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				panicked = r
-				f.val, f.err = nil, fmt.Errorf("expstore: computation panicked: %v", r)
-			}
-		}()
-		f.val, f.err = compute()
-	}()
-	if f.err != nil {
-		s.evict(key, f)
-	}
-	close(f.done)
-	return panicked
-}
-
-// evict removes a failed flight, but only if the key still maps to it — a
-// concurrent Reset may have swapped the map (making the delete a no-op)
-// or a retry may already have installed a fresh flight under the key.
-func (s *Store) evict(key string, f *flight) {
-	s.mu.Lock()
-	if cur, ok := s.flights[key]; ok && cur == f {
-		delete(s.flights, key)
-	}
-	s.mu.Unlock()
+	s.gen.CompareAndSwap(nil, new(generation))
+	return s.gen.Load()
 }
 
 // Series returns the cached raw trace for (site, days).
 func (s *Store) Series(site string, days int) (*timeseries.Series, error) {
-	key := fmt.Sprintf("series|%s|%d", site, days)
-	v, err := s.do(KindSeries, key, func() (any, error) {
-		return s.trace(site, days)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*timeseries.Series), nil
+	return s.generation().series.Do(context.Background(), seriesKey{site, days},
+		func(context.Context) (*timeseries.Series, error) { return s.trace(site, days) })
 }
 
-// pyramid returns the cached resolution pyramid for (site, days). Pyramid
-// construction rides the view counters' flight map but is not itself
-// counted: it is an implementation detail of view derivation.
+// pyramid returns the cached resolution pyramid for (site, days). It is
+// an implementation detail of view derivation, so no counter reports it.
 func (s *Store) pyramid(site string, days int) (*timeseries.Pyramid, error) {
-	key := fmt.Sprintf("pyramid|%s|%d", site, days)
-	s.mu.Lock()
-	f, ok := s.flights[key]
-	if !ok {
-		f = &flight{done: make(chan struct{})}
-		s.flights[key] = f
-		s.mu.Unlock()
-		panicked := s.runFlight(key, f, func() (any, error) {
+	return s.generation().pyramid.Do(context.Background(), seriesKey{site, days},
+		func(context.Context) (*timeseries.Pyramid, error) {
 			series, err := s.Series(site, days)
 			if err != nil {
 				return nil, err
 			}
 			return timeseries.NewPyramid(series, s.ladder)
 		})
-		if panicked != nil {
-			panic(panicked)
-		}
-	} else {
-		s.mu.Unlock()
-		<-f.done
-	}
-	if f.err != nil {
-		return nil, f.err
-	}
-	return f.val.(*timeseries.Pyramid), nil
 }
 
 // View returns the cached slot view for (site, days, n), derived through
 // the series' resolution pyramid.
 func (s *Store) View(site string, days, n int) (*timeseries.SlotView, error) {
-	key := fmt.Sprintf("view|%s|%d|%d", site, days, n)
-	v, err := s.do(KindView, key, func() (any, error) {
-		p, err := s.pyramid(site, days)
-		if err != nil {
-			return nil, err
-		}
-		return p.View(n)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*timeseries.SlotView), nil
+	return s.generation().view.Do(context.Background(), viewKey{seriesKey{site, days}, n},
+		func(context.Context) (*timeseries.SlotView, error) {
+			p, err := s.pyramid(site, days)
+			if err != nil {
+				return nil, err
+			}
+			return p.View(n)
+		})
 }
 
 // Eval returns the cached evaluator for (site, days, n, opts). The
 // returned evaluator is shared — it is safe for concurrent use and must
 // not be mutated.
 func (s *Store) Eval(site string, days, n int, opts EvalOptions) (*optimize.Eval, error) {
-	key := fmt.Sprintf("eval|%s|%d|%d|%s", site, days, n, opts.Fingerprint())
-	v, err := s.do(KindEval, key, func() (any, error) {
-		view, err := s.View(site, days, n)
-		if err != nil {
-			return nil, err
-		}
-		return optimize.NewEval(view, opts.apply()...)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*optimize.Eval), nil
+	return s.generation().eval.Do(context.Background(), evalKey{viewKey{seriesKey{site, days}, n}, opts.fingerprint()},
+		func(context.Context) (*optimize.Eval, error) {
+			view, err := s.View(site, days, n)
+			if err != nil {
+				return nil, err
+			}
+			return optimize.NewEval(view, opts.apply()...)
+		})
 }
 
 // Grid returns the cached grid-search result for the full tuple
 // (site, days, n, opts, space, ref). The returned result is shared and
 // must not be mutated.
 func (s *Store) Grid(site string, days, n int, opts EvalOptions, space optimize.Space, ref optimize.RefKind) (*optimize.SearchResult, error) {
-	key := fmt.Sprintf("grid|%s|%d|%d|%s|%s|%d", site, days, n, opts.Fingerprint(), SpaceFingerprint(space), int(ref))
-	v, err := s.do(KindGrid, key, func() (any, error) {
-		e, err := s.Eval(site, days, n, opts)
-		if err != nil {
-			return nil, err
-		}
-		return e.GridSearch(space, ref)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*optimize.SearchResult), nil
+	key := gridKey{evalKey{viewKey{seriesKey{site, days}, n}, opts.fingerprint()}, SpaceFingerprint(space), ref}
+	return s.generation().grid.Do(context.Background(), key,
+		func(context.Context) (*optimize.SearchResult, error) {
+			e, err := s.Eval(site, days, n, opts)
+			if err != nil {
+				return nil, err
+			}
+			return e.GridSearch(space, ref)
+		})
 }
 
 // Stats snapshots the hit/miss counters. The snapshot is consistent
 // across kinds: it cannot observe a Reset half-applied.
 func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	g := s.generation()
 	return Stats{
-		Series: s.stats[KindSeries],
-		View:   s.stats[KindView],
-		Eval:   s.stats[KindEval],
-		Grid:   s.stats[KindGrid],
+		Series: counter(g.series.Stats()),
+		View:   counter(g.view.Stats()),
+		Eval:   counter(g.eval.Stats()),
+		Grid:   counter(g.grid.Stats()),
 	}
 }
 
 // Len returns the number of cached entries (completed successes plus
 // in-flight computations; failed flights are evicted on completion).
 func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.flights)
+	g := s.generation()
+	return g.series.Len() + g.pyramid.Len() + g.view.Len() + g.eval.Len() + g.grid.Len()
 }
 
-// Keys returns the cached keys in sorted order — a debugging and testing
-// aid.
-func (s *Store) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.flights))
-	for k := range s.flights {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// Reset drops every cached entry and zeroes the counters, atomically
-// with respect to every other store operation: a request observes either
-// the full pre-Reset state or the full post-Reset state, never a swapped
-// map with stale counters. It is safe for concurrent use — a serving
-// daemon can expose it as an admin cache-flush without stopping the
-// world. In-flight computations complete against the old map: their
-// waiters still receive the result, it just is not shared with requests
-// that arrive after the Reset (which recompute into the new map).
-func (s *Store) Reset() {
-	s.mu.Lock()
-	s.flights = make(map[string]*flight)
-	for k := range s.stats {
-		s.stats[k] = Counter{}
-	}
-	s.mu.Unlock()
-}
+// Reset drops every cached entry and zeroes the counters by swapping in
+// a fresh generation: a request observes either the full pre-Reset
+// state or the full post-Reset state, never new entries with stale
+// counters. It is safe for concurrent use — a serving daemon can expose
+// it as an admin cache-flush without stopping the world. In-flight
+// computations complete in the old generation: their waiters still
+// receive the result, it just is not shared with requests that arrive
+// after the Reset (which recompute into the new one).
+func (s *Store) Reset() { s.gen.Store(new(generation)) }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"solarpred/internal/flight"
 	"solarpred/internal/optimize"
 	"solarpred/internal/timeseries"
 )
@@ -268,7 +269,7 @@ func TestStoreErrorThenRetry(t *testing.T) {
 		t.Fatalf("first attempt did not fail: %v", err)
 	}
 	if s.Len() != 0 {
-		t.Fatalf("failed flight retained: len = %d, keys = %v", s.Len(), s.Keys())
+		t.Fatalf("failed flight retained: len = %d", s.Len())
 	}
 	// The failure was a property of the attempt: the next request for the
 	// same key recomputes and succeeds.
@@ -333,6 +334,53 @@ func TestStoreErrorSharedByWaitersOnly(t *testing.T) {
 	}
 }
 
+// TestStorePanicIsError: a panicking TraceFunc reaches every caller of
+// the derived artefacts as a *flight.PanicError instead of crashing the
+// calling goroutine, leaves nothing cached, and the key recomputes.
+func TestStorePanicIsError(t *testing.T) {
+	var calls atomic.Int64
+	gate := make(chan struct{})
+	s := New(func(site string, days int) (*timeseries.Series, error) {
+		if calls.Add(1) == 1 {
+			<-gate // hold the panicking flight open while waiters pile on
+			panic("injected trace panic")
+		}
+		return synthTrace(site, days)
+	}, []int{24})
+
+	const waiters = 4
+	errs := make(chan error, waiters)
+	for i := 0; i < waiters; i++ {
+		go func() {
+			_, err := s.View("A", 20, 24)
+			errs <- err
+		}()
+	}
+	for {
+		st := s.Stats()
+		if st.View.Hits+st.View.Misses == waiters && st.Series.Misses == 1 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	for i := 0; i < waiters; i++ {
+		var pe *flight.PanicError
+		if err := <-errs; !errors.As(err, &pe) || pe.Value != "injected trace panic" {
+			t.Fatalf("waiter %d: err = %v, want *flight.PanicError", i, err)
+		}
+	}
+	if s.Len() != 0 {
+		t.Fatalf("panicked flight retained: len = %d", s.Len())
+	}
+	if _, err := s.View("A", 20, 24); err != nil {
+		t.Fatalf("retry after panic: %v", err)
+	}
+	if calls.Load() != 2 {
+		t.Fatalf("trace calls = %d, want 2", calls.Load())
+	}
+}
+
 // TestStoreResetRacesReaders drives Reset concurrently with live readers
 // and asserts (under -race) that nobody observes torn state and every
 // request still succeeds. Entries computed before a Reset keep serving
@@ -383,8 +431,9 @@ func TestStoreResetAndLen(t *testing.T) {
 	if _, err := s.View("A", 20, 24); err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() == 0 || len(s.Keys()) != s.Len() {
-		t.Fatalf("len = %d, keys = %d", s.Len(), len(s.Keys()))
+	// One entry each for the series, its pyramid and the view.
+	if s.Len() != 3 {
+		t.Fatalf("len = %d, want 3", s.Len())
 	}
 	s.Reset()
 	if s.Len() != 0 {

@@ -10,7 +10,6 @@ package serve
 // once the storm drains. Run under -race (CI's chaos job does).
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -136,7 +135,7 @@ func TestChaosPanicFlightContained(t *testing.T) {
 	if failed == 0 {
 		t.Fatal("no client observed the panic")
 	}
-	if p := svc.Batcher().Stats().Panics; p < 1 {
+	if p := svc.Stats().Batcher.Panics; p < 1 {
 		t.Fatalf("batcher panics = %d, want >= 1", p)
 	}
 
@@ -423,7 +422,7 @@ func TestChaosDeadlineStorm(t *testing.T) {
 
 	// Every waiter abandoned the coalesced flight, so it was cancelled.
 	waitFor(t, time.Second, func() bool {
-		return svc.Batcher().Stats().Abandoned >= 1
+		return svc.Stats().Batcher.Abandoned >= 1
 	}, "abandoned flight not counted")
 
 	// Unwedge; the replay stuck behind the gate notices its dead flight
@@ -431,7 +430,7 @@ func TestChaosDeadlineStorm(t *testing.T) {
 	wedged.Store(false)
 	release()
 	waitFor(t, time.Second, func() bool {
-		return svc.Batcher().Stats().InFlight == 0
+		return svc.Stats().Batcher.InFlight == 0
 	}, "cancelled flight never completed")
 
 	// The service recovers: the same tuple now computes fresh.
@@ -555,7 +554,7 @@ func TestChaosMixedStormNoLeaks(t *testing.T) {
 
 	svc.BeginDrain()
 	svc.Close() // blocks until every flight has answered
-	if inflight := svc.Batcher().Stats().InFlight; inflight != 0 {
+	if inflight := svc.Stats().Batcher.InFlight; inflight != 0 {
 		t.Fatalf("in-flight after Close: %d", inflight)
 	}
 	// leakCheck (cleanup) asserts the goroutine count settles.
@@ -570,102 +569,5 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 			t.Fatal(msg)
 		}
 		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// TestBatcherAbandonCancelsCompute pins the satellite contract at the
-// batcher level: when every waiter's context expires, the flight's
-// compute context is cancelled instead of the computation burning a pool
-// slot to completion.
-func TestBatcherAbandonCancelsCompute(t *testing.T) {
-	leakCheck(t)
-	b := NewBatcher(1)
-	defer b.Close()
-	cancelled := make(chan struct{})
-	started := make(chan struct{})
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := b.Submit(ctx, "doomed", func(fctx context.Context) (any, error) {
-			close(started)
-			<-fctx.Done() // the computation observes its own cancellation
-			close(cancelled)
-			return nil, fctx.Err()
-		})
-		done <- err
-	}()
-	<-started
-	cancel() // the only waiter gives up
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("submit err = %v", err)
-	}
-	select {
-	case <-cancelled:
-	case <-time.After(2 * time.Second):
-		t.Fatal("flight context never cancelled after last waiter left")
-	}
-	waitFor(t, time.Second, func() bool {
-		st := b.Stats()
-		return st.Abandoned == 1 && st.InFlight == 0
-	}, "abandon accounting")
-
-	// A second waiter joining then leaving first must NOT cancel the
-	// flight while the original waiter still wants the result.
-	gate := make(chan struct{})
-	res := make(chan error, 1)
-	go func() {
-		_, _, err := b.Submit(context.Background(), "shared", func(fctx context.Context) (any, error) {
-			select {
-			case <-gate:
-				return 1, nil
-			case <-fctx.Done():
-				return nil, fctx.Err()
-			}
-		})
-		res <- err
-	}()
-	waitFor(t, time.Second, func() bool { return b.Stats().InFlight == 1 }, "flight not started")
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	joined := make(chan error, 1)
-	go func() {
-		_, _, err := b.Submit(ctx2, "shared", func(fctx context.Context) (any, error) { return nil, nil })
-		joined <- err
-	}()
-	waitFor(t, time.Second, func() bool { return b.Stats().Coalesced >= 1 }, "second waiter not coalesced")
-	cancel2()
-	if err := <-joined; !errors.Is(err, context.Canceled) {
-		t.Fatalf("joined waiter err = %v", err)
-	}
-	close(gate)
-	if err := <-res; err != nil {
-		t.Fatalf("surviving waiter err = %v (flight was cancelled under it)", err)
-	}
-	if a := b.Stats().Abandoned; a != 1 {
-		t.Fatalf("abandoned = %d after partial abandonment, want 1", a)
-	}
-}
-
-// TestBatcherPanicUnit pins the panic contract at the batcher level
-// without HTTP in the way.
-func TestBatcherPanicUnit(t *testing.T) {
-	b := NewBatcher(1)
-	defer b.Close()
-	_, _, err := b.Submit(context.Background(), "boom", func(context.Context) (any, error) {
-		panic("kaboom")
-	})
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *PanicError", err)
-	}
-	if pe.Value != "kaboom" || len(pe.Stack) == 0 || !strings.Contains(pe.Error(), "kaboom") {
-		t.Fatalf("panic error: %+v", pe)
-	}
-	// The pool slot was released: more work runs fine.
-	v, _, err := b.Submit(context.Background(), "boom", func(context.Context) (any, error) { return "ok", nil })
-	if err != nil || v != "ok" {
-		t.Fatalf("after panic: %v %v", v, err)
-	}
-	if st := b.Stats(); st.Panics != 1 {
-		t.Fatalf("panics = %d", st.Panics)
 	}
 }

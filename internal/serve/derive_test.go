@@ -79,7 +79,7 @@ func distinctParams(count, d, n int) []core.Params {
 }
 
 // TestDistinctAlphasShareOneReplay pins the service's state bound: 200
-// distinct (α, K) for one (site, N, D) cost exactly one batcher
+// distinct (α, K) for one (site, N, D) cost exactly one flight
 // computation (one guard replay), and every served body equals a direct
 // replay at its own parameters.
 func TestDistinctAlphasShareOneReplay(t *testing.T) {
@@ -103,7 +103,7 @@ func TestDistinctAlphasShareOneReplay(t *testing.T) {
 			t.Fatalf("metadata: %+v", got)
 		}
 	}
-	if c := svc.Batcher().Stats().Computations; c != 1 {
+	if c := svc.Stats().Batcher.Computations; c != 1 {
 		t.Fatalf("batcher computations = %d, want 1", c)
 	}
 	if _, ok := svc.GuardStats(site, n, core.Params{Alpha: 0.123, D: d, K: 5}); !ok {
@@ -177,7 +177,7 @@ func TestConcurrentDerivesFromOneBase(t *testing.T) {
 		}
 		checkForecast(t, got[i], want[i])
 	}
-	if c := svc.Batcher().Stats().Computations; c != 1 {
+	if c := svc.Stats().Batcher.Computations; c != 1 {
 		t.Fatalf("batcher computations = %d, want 1", c)
 	}
 }

@@ -4,17 +4,18 @@
 //
 // The layering, bottom to top:
 //
-//   - expstore.Store memoises traces, views, evaluators and grid results
-//     with single-flight admission per key (shared with the experiment
+//   - expstore.Store memoises traces, views, evaluators and grid results,
+//     one flight.Group per artefact kind (shared with the experiment
 //     drivers, so a repro run and the daemon warm the same entries);
-//   - Batcher coalesces concurrent requests for the same (site, N,
-//     space, ref) tuple into one store computation, bounds how many
-//     computations run at once, stamps each request's queue/compute
-//     stages, cancels computations every waiter has abandoned, and
-//     contains panics to the flight that raised them;
-//   - Service owns the request semantics (guarded forecast replay,
-//     grid/tune conversion, admin reset), the per-key-class circuit
-//     breakers, the stale-forecast fallback and the per-endpoint
+//   - Service runs its own computations — guard replays per (site, days,
+//     N, D) and grid searches per (site, N, space, ref) — through one
+//     flight.Group bounded by Config.Workers. The group memoises each
+//     success, coalesces concurrent requests into one computation,
+//     cancels a computation every waiter has abandoned, contains panics
+//     to the flight that raised them, and is the drain point Close waits
+//     on. Service also owns the request semantics (guarded forecast
+//     derivation, grid/tune conversion, admin reset), the per-key-class
+//     circuit breakers, the stale-forecast fallback and the per-endpoint
 //     metrics;
 //   - the HTTP handlers in http.go parse, shed load past the backlog
 //     bound (429 + Retry-After), enforce the server-side request
@@ -22,7 +23,7 @@
 //
 // Forecasts run behind guard.Guard, the online input-quality gate: the
 // guard is replayed over a site's cached slot view inside the single
-// computing goroutine of a batcher flight, then published read-only.
+// computing goroutine of a flight, then memoised read-only.
 // Nothing a replay computes depends on α or K, so there is one replay
 // per (site, days, N, D), and each request derives its (α, K) view from
 // it in O(K + N) (guard.Guard.Derive); the service keeps no state per
@@ -54,10 +55,16 @@ import (
 	"solarpred/internal/dataset"
 	"solarpred/internal/experiments"
 	"solarpred/internal/expstore"
+	"solarpred/internal/flight"
 	"solarpred/internal/guard"
 	"solarpred/internal/optimize"
 	"solarpred/internal/timeseries"
 )
+
+// ErrDraining is returned for work submitted after shutdown began: by
+// the drain gate, and by the flight group for a computation requested
+// after Close.
+var ErrDraining = flight.ErrClosed
 
 // ErrShed is returned (wrapped in a *RetryableError) when the admission
 // backlog is full and the request was shed, mapped to 429.
@@ -84,7 +91,7 @@ type Config struct {
 	// warm-up, sampling-rate ladder and default search space. If Exp.Store
 	// is nil, New builds one over the dataset generator.
 	Exp experiments.Config
-	// Workers bounds how many store computations the batcher runs
+	// Workers bounds how many replays and grid searches run
 	// concurrently; 0 means GOMAXPROCS.
 	Workers int
 	// RequestTimeout is the server-side deadline applied to each compute
@@ -115,7 +122,7 @@ const (
 type Service struct {
 	cfg      experiments.Config
 	store    *expstore.Store
-	batcher  *Batcher
+	flights  *flight.Group[flightKey, any]
 	started  time.Time
 	draining atomic.Bool
 
@@ -132,11 +139,6 @@ type Service struct {
 	// and read-only afterwards.
 	metrics map[string]*endpointMetrics
 
-	// bases holds replayed guards published read-only, keyed by
-	// tupleKey.base(). Populated under batcher flights; flushed by Reset.
-	baseMu sync.Mutex
-	bases  map[tupleKey]*guard.Guard
-
 	// stale is the last-good forecast per tuple, served flagged
 	// degraded+stale while the forecast breaker is open. It deliberately
 	// survives Reset — it is the degraded-mode safety net, not a cache
@@ -145,7 +147,7 @@ type Service struct {
 	stale   map[tupleKey]*ForecastResult
 }
 
-// New validates the configuration and starts the service's batch loop.
+// New validates the configuration and builds the service.
 func New(cfg Config) (*Service, error) {
 	if err := cfg.Exp.Validate(); err != nil {
 		return nil, err
@@ -184,7 +186,7 @@ func New(cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:            cfg.Exp,
 		store:          store,
-		batcher:        NewBatcher(workers),
+		flights:        flight.New[flightKey, any](workers),
 		started:        time.Now(),
 		requestTimeout: cfg.RequestTimeout,
 		maxBacklog:     maxBacklog,
@@ -193,7 +195,6 @@ func New(cfg Config) (*Service, error) {
 			classForecast: newBreaker(threshold, cooldown),
 			classGrid:     newBreaker(threshold, cooldown),
 		},
-		bases:   make(map[tupleKey]*guard.Guard),
 		stale:   make(map[tupleKey]*ForecastResult),
 		metrics: make(map[string]*endpointMetrics),
 	}
@@ -210,9 +211,6 @@ func (s *Service) Config() experiments.Config { return s.cfg }
 // harness read its counters).
 func (s *Service) Store() *expstore.Store { return s.store }
 
-// Batcher exposes the request batcher for its counters.
-func (s *Service) Batcher() *Batcher { return s.batcher }
-
 // BeginDrain flips the service into drain mode: every endpoint except
 // /healthz rejects new requests with 503 while in-flight ones complete.
 func (s *Service) BeginDrain() { s.draining.Store(true) }
@@ -220,10 +218,10 @@ func (s *Service) BeginDrain() { s.draining.Store(true) }
 // Draining reports whether BeginDrain has been called.
 func (s *Service) Draining() bool { return s.draining.Load() }
 
-// Close shuts the batch loop down, blocking until in-flight computations
-// have answered their waiters. Call after the HTTP server has stopped
+// Close refuses new computations and blocks until in-flight ones have
+// answered their waiters. Call after the HTTP server has stopped
 // accepting connections.
-func (s *Service) Close() { s.batcher.Close() }
+func (s *Service) Close() { s.flights.Close() }
 
 // badRequestError marks errors caused by the request, mapped to 400.
 type badRequestError struct{ msg string }
@@ -301,9 +299,16 @@ func (k tupleKey) base() tupleKey {
 	return tupleKey{site: k.site, days: k.days, n: k.n, params: core.Params{D: k.params.D}}
 }
 
-// flight formats the batcher key of the tuple's base replay.
-func (k tupleKey) flight() string {
-	return fmt.Sprintf("pred|%s|%d|%d|d%d", k.site, k.days, k.n, k.params.D)
+// flightKey names one computation in the service's flight group: a
+// guard replay keyed by tupleKey.base(), or a grid search keyed by
+// (site, days, N) plus its space fingerprint and reference. The two
+// never collide: a replay has no space, and a fingerprint is never
+// empty. The evaluator options are fixed for the service's lifetime, so
+// they are not part of the key.
+type flightKey struct {
+	tuple tupleKey
+	space string
+	ref   optimize.RefKind
 }
 
 // Forecast serves the next horizon slot forecasts for a site at sampling
@@ -410,35 +415,24 @@ func (s *Service) keepStale(key tupleKey, res *ForecastResult) {
 }
 
 // predictor returns the guard for key's (α, K), derived from the
-// published replay of its base. On first use the base is replayed under
-// a batcher flight; concurrent first requests for one base — whatever
-// their (α, K) — coalesce into a single replay.
+// memoised replay of its base. On first use the base is replayed under
+// a flight; concurrent first requests for one base — whatever their
+// (α, K) — coalesce into a single replay.
 func (s *Service) predictor(ctx context.Context, key tupleKey) (*guard.Guard, error) {
 	bk := key.base()
-	s.baseMu.Lock()
-	g, ok := s.bases[bk]
-	s.baseMu.Unlock()
-	if !ok {
-		v, _, err := s.batcher.Submit(ctx, bk.flight(), func(fctx context.Context) (any, error) {
-			return s.replay(fctx, bk)
-		})
-		if err != nil {
-			return nil, err
-		}
-		g = v.(*guard.Guard)
-		// Publish: from here on the guard is read-only (storing the same
-		// pointer twice from coalesced waiters is idempotent).
-		s.baseMu.Lock()
-		s.bases[bk] = g
-		s.baseMu.Unlock()
+	v, err := s.flights.Do(ctx, flightKey{tuple: bk}, func(fctx context.Context) (any, error) {
+		return s.replay(fctx, bk)
+	})
+	if err != nil {
+		return nil, err
 	}
-	return g.Derive(key.params)
+	return v.(*guard.Guard).Derive(key.params)
 }
 
 // replay is the session-ownership step of the guard's contract: the
 // base guard is constructed and fed the site's whole observation stream
-// inside the single computing goroutine of a batcher flight, before
-// being published read-only. It runs at K = 1 (the cheapest window;
+// inside the single computing goroutine of a flight, before being
+// memoised read-only. It runs at K = 1 (the cheapest window;
 // views rebuild their own). The flight context is polled at day
 // boundaries so an abandoned replay stops instead of finishing for
 // nobody.
@@ -468,13 +462,11 @@ func (s *Service) replay(ctx context.Context, bk tupleKey) (*guard.Guard, error)
 // every tuple sharing (site, n, D) reports the same stats.
 func (s *Service) GuardStats(site string, n int, params core.Params) (guard.Stats, bool) {
 	key := tupleKey{site: site, days: s.cfg.Days, n: n, params: params}
-	s.baseMu.Lock()
-	g, ok := s.bases[key.base()]
-	s.baseMu.Unlock()
+	v, ok := s.flights.Peek(flightKey{tuple: key.base()})
 	if !ok {
 		return guard.Stats{}, false
 	}
-	return g.Stats(), true
+	return v.(*guard.Guard).Stats(), true
 }
 
 // --- Grid and tune ----------------------------------------------------------
@@ -513,15 +505,8 @@ type GridResult struct {
 	Cells []CellResult `json:"cells"`
 }
 
-// gridKey is the batcher key of a grid tuple — the same provenance the
-// store keys on, so coalescing and memoization agree about identity.
-func (s *Service) gridKey(site string, n int, space optimize.Space, ref optimize.RefKind) string {
-	return fmt.Sprintf("grid|%s|%d|%d|%s|%s|%d",
-		site, s.cfg.Days, n, s.cfg.EvalOptions().Fingerprint(), expstore.SpaceFingerprint(space), int(ref))
-}
-
-// grid runs the store's grid search for the tuple under the batcher and
-// the grid-class breaker.
+// grid runs the store's grid search for the tuple under the flight group
+// and the grid-class breaker.
 func (s *Service) grid(ctx context.Context, site string, n int, space optimize.Space, ref optimize.RefKind) (*optimize.SearchResult, error) {
 	if err := s.checkSiteN(site, n); err != nil {
 		return nil, err
@@ -538,7 +523,12 @@ func (s *Service) grid(ctx context.Context, site string, n int, space optimize.S
 	if ok, retry := br.allow(); !ok {
 		return nil, &RetryableError{Err: ErrBreakerOpen, RetryAfter: retry}
 	}
-	v, _, err := s.batcher.Submit(ctx, s.gridKey(site, n, space, ref), func(fctx context.Context) (any, error) {
+	key := flightKey{
+		tuple: tupleKey{site: site, days: s.cfg.Days, n: n},
+		space: expstore.SpaceFingerprint(space),
+		ref:   ref,
+	}
+	v, err := s.flights.Do(ctx, key, func(fctx context.Context) (any, error) {
 		// The store's grid search is not interruptible mid-sweep; honor
 		// an already-abandoned flight before starting the expensive part.
 		if err := fctx.Err(); err != nil {
@@ -626,19 +616,21 @@ func (s *Service) Tune(ctx context.Context, site string, n int, space optimize.S
 
 // StatsResult is the /v1/stats response.
 type StatsResult struct {
-	UptimeSeconds float64                  `json:"uptime_seconds"`
-	Draining      bool                     `json:"draining"`
-	Backlog       int64                    `json:"backlog"`
-	MaxBacklog    int                      `json:"max_backlog"`
-	Store         expstore.Stats           `json:"store"`
-	StoreEntries  int                      `json:"store_entries"`
-	Batcher       BatcherStats             `json:"batcher"`
-	Breakers      map[string]BreakerStats  `json:"breakers"`
-	Endpoints     map[string]EndpointStats `json:"endpoints"`
+	UptimeSeconds float64        `json:"uptime_seconds"`
+	Draining      bool           `json:"draining"`
+	Backlog       int64          `json:"backlog"`
+	MaxBacklog    int            `json:"max_backlog"`
+	Store         expstore.Stats `json:"store"`
+	StoreEntries  int            `json:"store_entries"`
+	// Batcher reports the service's flight group. Coalesced counts
+	// requests served without computing: joined in flight or memoised.
+	Batcher   flight.Stats             `json:"batcher"`
+	Breakers  map[string]BreakerStats  `json:"breakers"`
+	Endpoints map[string]EndpointStats `json:"endpoints"`
 }
 
 // Stats snapshots the service: uptime, admission backlog, store
-// counters, batcher counters, breaker states and per-endpoint
+// counters, flight-group counters, breaker states and per-endpoint
 // latency/throughput/in-flight metrics.
 func (s *Service) Stats() StatsResult {
 	uptime := time.Since(s.started)
@@ -657,20 +649,18 @@ func (s *Service) Stats() StatsResult {
 		MaxBacklog:    s.maxBacklog,
 		Store:         s.store.Stats(),
 		StoreEntries:  s.store.Len(),
-		Batcher:       s.batcher.Stats(),
+		Batcher:       s.flights.Stats(),
 		Breakers:      brs,
 		Endpoints:     eps,
 	}
 }
 
 // Reset is the admin cache flush: it drops the store's entries and the
-// published base replays. Safe under live load — the store's Reset is
-// concurrency-safe and readers holding old objects keep them. The stale
-// forecast cache deliberately survives (it is the degraded-mode safety
-// net for the freshly-cold cache).
+// memoised replays and grid results. Safe under live load — both Resets
+// are concurrency-safe and readers holding old objects keep them. The
+// stale forecast cache deliberately survives (it is the degraded-mode
+// safety net for the freshly-cold cache).
 func (s *Service) Reset() {
 	s.store.Reset()
-	s.baseMu.Lock()
-	s.bases = make(map[tupleKey]*guard.Guard)
-	s.baseMu.Unlock()
+	s.flights.Reset()
 }

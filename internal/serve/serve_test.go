@@ -59,178 +59,6 @@ func getJSON(t *testing.T, url string, out any) int {
 	return resp.StatusCode
 }
 
-// --- Batcher ----------------------------------------------------------------
-
-func TestBatcherCoalesces(t *testing.T) {
-	b := NewBatcher(4)
-	defer b.Close()
-	gate := make(chan struct{})
-	var computes atomic.Int64
-
-	const clients = 8
-	var wg sync.WaitGroup
-	results := make([]any, clients)
-	errs := make([]error, clients)
-	stages := make([]Stages, clients)
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], stages[i], errs[i] = b.Submit(context.Background(), "tuple", func(context.Context) (any, error) {
-				computes.Add(1)
-				<-gate
-				return 42, nil
-			})
-		}(i)
-	}
-	// Wait until every client has been admitted (1 dispatch + 7 joins),
-	// then release the computation.
-	for b.Stats().Coalesced < clients-1 {
-		time.Sleep(time.Millisecond)
-	}
-	close(gate)
-	wg.Wait()
-
-	if got := computes.Load(); got != 1 {
-		t.Fatalf("computations ran = %d, want 1", got)
-	}
-	st := b.Stats()
-	if st.Computations != 1 || st.Coalesced != clients-1 || st.InFlight != 0 {
-		t.Fatalf("stats = %+v, want 1 computation, %d coalesced, 0 in flight", st, clients-1)
-	}
-	var coalesced int
-	for i := 0; i < clients; i++ {
-		if errs[i] != nil {
-			t.Fatalf("client %d: %v", i, errs[i])
-		}
-		if results[i] != 42 {
-			t.Fatalf("client %d: result %v", i, results[i])
-		}
-		s := stages[i]
-		if s.Enqueued.IsZero() || s.Dispatched.IsZero() || s.Done.IsZero() || s.Done.Before(s.Dispatched) {
-			t.Fatalf("client %d: bad stages %+v", i, s)
-		}
-		if s.Coalesced {
-			coalesced++
-		}
-	}
-	if coalesced != clients-1 {
-		t.Fatalf("coalesced stage flags = %d, want %d", coalesced, clients-1)
-	}
-}
-
-func TestBatcherDistinctKeysRunIndependently(t *testing.T) {
-	b := NewBatcher(4)
-	defer b.Close()
-	var computes atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < 6; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			key := fmt.Sprintf("k%d", i%3)
-			if _, _, err := b.Submit(context.Background(), key, func(context.Context) (any, error) {
-				computes.Add(1)
-				time.Sleep(2 * time.Millisecond)
-				return key, nil
-			}); err != nil {
-				t.Errorf("submit %s: %v", key, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if got := computes.Load(); got < 3 || got > 6 {
-		t.Fatalf("computations = %d, want within [3,6]", got)
-	}
-}
-
-func TestBatcherErrorFansOut(t *testing.T) {
-	b := NewBatcher(2)
-	defer b.Close()
-	boom := errors.New("boom")
-	gate := make(chan struct{})
-	const clients = 4
-	errCh := make(chan error, clients)
-	for i := 0; i < clients; i++ {
-		go func() {
-			_, _, err := b.Submit(context.Background(), "bad", func(context.Context) (any, error) {
-				<-gate
-				return nil, boom
-			})
-			errCh <- err
-		}()
-	}
-	for b.Stats().Coalesced < clients-1 {
-		time.Sleep(time.Millisecond)
-	}
-	close(gate)
-	for i := 0; i < clients; i++ {
-		if err := <-errCh; !errors.Is(err, boom) {
-			t.Fatalf("client %d: err = %v, want boom", i, err)
-		}
-	}
-	// The flight is gone: a retry dispatches a fresh computation.
-	v, _, err := b.Submit(context.Background(), "bad", func(context.Context) (any, error) { return "ok", nil })
-	if err != nil || v != "ok" {
-		t.Fatalf("retry after failed flight: %v, %v", v, err)
-	}
-}
-
-func TestBatcherCloseDrains(t *testing.T) {
-	b := NewBatcher(2)
-	gate := make(chan struct{})
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := b.Submit(context.Background(), "slow", func(context.Context) (any, error) {
-			<-gate
-			return nil, nil
-		})
-		done <- err
-	}()
-	for b.Stats().InFlight == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	closed := make(chan struct{})
-	go func() {
-		b.Close()
-		close(closed)
-	}()
-	// New work is rejected while the old flight drains.
-	for {
-		_, _, err := b.Submit(context.Background(), "new", func(context.Context) (any, error) { return nil, nil })
-		if errors.Is(err, ErrDraining) {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	select {
-	case <-closed:
-		t.Fatal("Close returned while a flight was still in progress")
-	default:
-	}
-	close(gate)
-	<-closed
-	if err := <-done; err != nil {
-		t.Fatalf("in-flight submit during drain: %v", err)
-	}
-}
-
-func TestBatcherSubmitContextCancelled(t *testing.T) {
-	b := NewBatcher(1)
-	defer b.Close()
-	gate := make(chan struct{})
-	defer close(gate)
-	go b.Submit(context.Background(), "hold", func(context.Context) (any, error) { <-gate; return nil, nil })
-	for b.Stats().InFlight == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, err := b.Submit(ctx, "hold", func(context.Context) (any, error) { return nil, nil }); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
 // --- Service over HTTP ------------------------------------------------------
 
 func TestServiceForecastMatchesDirectReplay(t *testing.T) {
@@ -406,7 +234,7 @@ func TestServiceConcurrentTupleLoad(t *testing.T) {
 	if st.Grid.Misses != 1 {
 		t.Fatalf("grid misses = %d, want exactly 1 (stats %+v)", st.Grid.Misses, st)
 	}
-	bs := svc.Batcher().Stats()
+	bs := svc.Stats().Batcher
 	if bs.Computations+bs.Coalesced != clients {
 		t.Fatalf("batcher admissions = %d+%d, want %d", bs.Computations, bs.Coalesced, clients)
 	}
@@ -564,8 +392,10 @@ func TestServiceGracefulDrain(t *testing.T) {
 		t.Fatalf("stats during drain = %d", code)
 	}
 	svc.Close()
-	if _, _, err := svc.Batcher().Submit(context.Background(), "x", func(context.Context) (any, error) { return nil, nil }); !errors.Is(err, ErrDraining) {
-		t.Fatalf("submit after close: %v", err)
+	// A computation requested after Close (a replay never run before) is
+	// refused with ErrDraining.
+	if _, err := svc.Forecast(context.Background(), cfg.Sites[1], 24, 1, core.Params{Alpha: 0.5, D: 3, K: 1}); !errors.Is(err, ErrDraining) {
+		t.Fatalf("forecast after close: %v", err)
 	}
 }
 

@@ -15,8 +15,6 @@ package timeseries
 import (
 	"errors"
 	"fmt"
-
-	"solarpred/internal/stats"
 )
 
 // MinutesPerDay is the number of minutes in the 24-hour prediction cycle.
@@ -75,19 +73,33 @@ func (s *Series) At(d, i int) (float64, error) {
 }
 
 // Peak returns the maximum sample in the series (zero for empty series).
-func (s *Series) Peak() float64 { return stats.MaxOrZero(s.Samples) }
+func (s *Series) Peak() float64 { return maxOrZero(s.Samples) }
 
-// Clip returns a new Series containing days [from, to) of s. The sample
-// slice is shared with the receiver.
-func (s *Series) Clip(from, to int) (*Series, error) {
-	if from < 0 || to > s.Days() || from > to {
-		return nil, fmt.Errorf("timeseries: clip [%d,%d) out of range [0,%d]", from, to, s.Days())
+// mean returns the arithmetic mean of xs, summed left to right (zero for
+// an empty slice).
+func mean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
 	}
-	perDay := s.SamplesPerDay()
-	return &Series{
-		ResolutionMinutes: s.ResolutionMinutes,
-		Samples:           s.Samples[from*perDay : to*perDay],
-	}, nil
+	var sum float64
+	for _, x := range xs {
+		sum += x
+	}
+	return sum / float64(len(xs))
+}
+
+// maxOrZero returns the maximum of xs (zero for an empty slice).
+func maxOrZero(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	m := xs[0]
+	for _, x := range xs[1:] {
+		if x > m {
+			m = x
+		}
+	}
+	return m
 }
 
 // Resample returns a new series at a coarser resolution by averaging
@@ -109,7 +121,7 @@ func (s *Series) Resample(resolutionMinutes int) (*Series, error) {
 	group := resolutionMinutes / s.ResolutionMinutes
 	out := make([]float64, 0, len(s.Samples)/group)
 	for i := 0; i+group <= len(s.Samples); i += group {
-		out = append(out, stats.Mean(s.Samples[i:i+group]))
+		out = append(out, mean(s.Samples[i:i+group]))
 	}
 	return &Series{ResolutionMinutes: resolutionMinutes, Samples: out}, nil
 }
@@ -193,7 +205,7 @@ func (s *Series) Slot(n int) (*SlotView, error) {
 		for j := 0; j < n; j++ {
 			seg := s.Samples[base+j*m : base+(j+1)*m]
 			v.Start[d*n+j] = seg[0]
-			v.Mean[d*n+j] = stats.Mean(seg)
+			v.Mean[d*n+j] = mean(seg)
 		}
 	}
 	v.BuildPrefix()
@@ -255,19 +267,13 @@ func (v *SlotView) SlotEnergy(d, j int) float64 {
 
 // PeakMean returns the maximum mean-slot power across the whole view.
 // The paper's region-of-interest threshold is 10% of this value.
-func (v *SlotView) PeakMean() float64 { return stats.MaxOrZero(v.Mean) }
+func (v *SlotView) PeakMean() float64 { return maxOrZero(v.Mean) }
 
-// DayStarts returns the slot-start samples of day d as a subslice.
-func (v *SlotView) DayStarts(d int) []float64 { return v.Start[d*v.N : (d+1)*v.N] }
-
-// DayMeans returns the mean slot powers of day d as a subslice.
-func (v *SlotView) DayMeans(d int) []float64 { return v.Mean[d*v.N : (d+1)*v.N] }
+// PeakStart returns the maximum slot-start sample across the whole view.
+func (v *SlotView) PeakStart() float64 { return maxOrZero(v.Start) }
 
 // TotalSlots returns the number of (day, slot) cells in the view.
 func (v *SlotView) TotalSlots() int { return v.DaysCount * v.N }
-
-// GlobalIndex converts (day, slot) to the flat index used by Start/Mean.
-func (v *SlotView) GlobalIndex(d, j int) int { return d*v.N + j }
 
 // Split converts a flat slot index back into (day, slot).
 func (v *SlotView) Split(t int) (day, slot int) { return t / v.N, t % v.N }

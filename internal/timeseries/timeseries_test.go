@@ -67,31 +67,6 @@ func TestAccessors(t *testing.T) {
 	}
 }
 
-func TestClip(t *testing.T) {
-	s := mkSeries(t, 5, 5)
-	c, err := s.Clip(1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Days() != 2 {
-		t.Fatalf("clip days = %d", c.Days())
-	}
-	if c.Samples[0] != 1000 {
-		t.Errorf("clip start = %v", c.Samples[0])
-	}
-	if _, err := s.Clip(3, 2); err == nil {
-		t.Error("inverted clip should error")
-	}
-	if _, err := s.Clip(0, 6); err == nil {
-		t.Error("overlong clip should error")
-	}
-	// Empty clip is legal.
-	e, err := s.Clip(2, 2)
-	if err != nil || e.Days() != 0 {
-		t.Errorf("empty clip: %v days=%d", err, e.Days())
-	}
-}
-
 func TestResampleAveragesGroups(t *testing.T) {
 	// 1-minute data: values 0..1439 on one day.
 	samples := make([]float64, 1440)
@@ -180,11 +155,38 @@ func TestSlotViewBasics(t *testing.T) {
 	if v.PeakMean() != 14.5 {
 		t.Errorf("PeakMean = %v", v.PeakMean())
 	}
-	if len(v.DayStarts(0)) != 48 || len(v.DayMeans(0)) != 48 {
-		t.Error("day slices wrong length")
+	if v.PeakStart() != 0 { // every slot starts on a 0 sample
+		t.Errorf("PeakStart = %v", v.PeakStart())
 	}
 	if v.TotalSlots() != 48 {
 		t.Error("TotalSlots mismatch")
+	}
+}
+
+func TestMean(t *testing.T) {
+	cases := []struct {
+		xs   []float64
+		mean float64
+	}{
+		{nil, 0},
+		{[]float64{}, 0},
+		{[]float64{5}, 5},
+		{[]float64{1, 2, 3, 4}, 2.5},
+		{[]float64{-1, 1}, 0},
+	}
+	for _, c := range cases {
+		if got := mean(c.xs); got != c.mean {
+			t.Errorf("mean(%v) = %v, want %v", c.xs, got, c.mean)
+		}
+	}
+}
+
+func TestMaxOrZero(t *testing.T) {
+	if maxOrZero(nil) != 0 {
+		t.Error("maxOrZero(nil) should be 0")
+	}
+	if got := maxOrZero([]float64{3, -1, 7, 0}); got != 7 {
+		t.Errorf("maxOrZero = %v, want 7", got)
 	}
 }
 
@@ -207,7 +209,7 @@ func TestSlotIndexRoundTrip(t *testing.T) {
 	s := mkSeries(t, 5, 4)
 	v, _ := s.Slot(48)
 	for _, tc := range []struct{ d, j int }{{0, 0}, {1, 5}, {3, 47}} {
-		g := v.GlobalIndex(tc.d, tc.j)
+		g := tc.d*v.N + tc.j
 		d, j := v.Split(g)
 		if d != tc.d || j != tc.j {
 			t.Errorf("roundtrip (%d,%d) -> %d -> (%d,%d)", tc.d, tc.j, g, d, j)
