@@ -3,6 +3,7 @@ package experiments
 import (
 	"solarpred/internal/faults"
 	"solarpred/internal/optimize"
+	"solarpred/internal/timeseries"
 )
 
 // RobustnessRow reports how a fault scenario moves the predictor's MAPE
@@ -28,62 +29,84 @@ func (r RobustnessRow) DegradationPoints() float64 {
 // corrupted measurements against the *clean* slot means (the energy
 // actually delivered does not care about the sensor fault). This
 // separates sensing damage from forecasting skill.
+//
+// The clean report is computed once per site; the (site, scenario)
+// cells then run on the worker pool, with rows written by index in
+// site-major order, so the rows do not depend on the worker count.
 func Robustness(cfg Config, n int) ([]RobustnessRow, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	params := GuidelineParams(n)
-	var rows []RobustnessRow
-	for _, site := range cfg.Sites {
-		clean, err := cfg.Trace(site)
+	type cleanSite struct {
+		trace *timeseries.Series
+		view  *timeseries.SlotView
+		mape  float64
+	}
+	cleans := make([]cleanSite, len(cfg.Sites))
+	err := parallelFor(cfg.workers(), len(cfg.Sites), func(i int) error {
+		trace, err := cfg.Trace(cfg.Sites[i])
 		if err != nil {
-			return nil, err
+			return err
 		}
 		// The clean evaluator rides the store (its views and evaluators are
 		// the ones every other driver shares); the per-fault corrupted
 		// views below are one-off and stay uncached.
-		cleanEval, cleanView, err := cfg.evalFor(site, n)
+		eval, view, err := cfg.evalFor(cfg.Sites[i], n)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		cleanRep, err := cleanEval.EvaluateOnline(params, optimize.RefSlotMean)
+		rep, err := eval.EvaluateOnline(params, optimize.RefSlotMean)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		for _, sc := range faults.Scenarios() {
-			corrupted, damage, err := faults.Inject(clean, sc)
-			if err != nil {
-				return nil, err
-			}
-			faultyView, err := corrupted.Slot(n)
-			if err != nil {
-				return nil, err
-			}
-			// Score the faulty predictor inputs against the clean
-			// references: Start comes from the corrupted trace, Mean
-			// from the clean one. Rebuild the prefix columns so they
-			// describe the hybrid's own columns (the copied MeanPrefix
-			// would otherwise describe the corrupted means).
-			hybrid := *faultyView
-			hybrid.Mean = cleanView.Mean
-			hybrid.StartPrefix, hybrid.MeanPrefix = nil, nil
-			hybrid.BuildPrefix()
-			eval, err := optimize.NewEval(&hybrid, optimize.WithWarmupDays(cfg.WarmupDays))
-			if err != nil {
-				return nil, err
-			}
-			rep, err := eval.EvaluateOnline(params, optimize.RefSlotMean)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, RobustnessRow{
-				Site:       site,
-				Scenario:   sc,
-				Damage:     damage,
-				CleanMAPE:  cleanRep.MAPE,
-				FaultyMAPE: rep.MAPE,
-			})
+		cleans[i] = cleanSite{trace: trace, view: view, mape: rep.MAPE}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	scenarios := faults.Scenarios()
+	rows := make([]RobustnessRow, len(cfg.Sites)*len(scenarios))
+	err = parallelFor(cfg.workers(), len(rows), func(i int) error {
+		clean := cleans[i/len(scenarios)]
+		sc := scenarios[i%len(scenarios)]
+		corrupted, damage, err := faults.Inject(clean.trace, sc)
+		if err != nil {
+			return err
 		}
+		faultyView, err := corrupted.Slot(n)
+		if err != nil {
+			return err
+		}
+		// Score the faulty predictor inputs against the clean references:
+		// Start comes from the corrupted trace, Mean from the clean one.
+		// Rebuild the prefix columns so they describe the hybrid's own
+		// columns (the copied MeanPrefix would otherwise describe the
+		// corrupted means).
+		hybrid := *faultyView
+		hybrid.Mean = clean.view.Mean
+		hybrid.StartPrefix, hybrid.MeanPrefix = nil, nil
+		hybrid.BuildPrefix()
+		eval, err := optimize.NewEval(&hybrid, optimize.WithWarmupDays(cfg.WarmupDays))
+		if err != nil {
+			return err
+		}
+		rep, err := eval.EvaluateOnline(params, optimize.RefSlotMean)
+		if err != nil {
+			return err
+		}
+		rows[i] = RobustnessRow{
+			Site:       cfg.Sites[i/len(scenarios)],
+			Scenario:   sc,
+			Damage:     damage,
+			CleanMAPE:  clean.mape,
+			FaultyMAPE: rep.MAPE,
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }

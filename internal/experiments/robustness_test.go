@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 
 	"solarpred/internal/faults"
@@ -50,5 +52,35 @@ func TestRobustnessValidation(t *testing.T) {
 	bad.Sites = nil
 	if _, err := Robustness(bad, 48); err == nil {
 		t.Error("invalid config accepted")
+	}
+}
+
+// TestRobustnessWorkerCountInvariant pins Robustness's rows to be
+// identical, in site-major order, whether its (site, scenario) cells run
+// one at a time or on GOMAXPROCS workers.
+func TestRobustnessWorkerCountInvariant(t *testing.T) {
+	seqCfg := QuickConfig()
+	seqCfg.Workers = 1
+	parCfg := QuickConfig()
+	parCfg.Workers = max(2, runtime.GOMAXPROCS(0))
+	seq, err := Robustness(seqCfg, 48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := Robustness(parCfg, 48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scenarios := faults.Scenarios()
+	if len(seq) != len(seqCfg.Sites)*len(scenarios) {
+		t.Fatalf("%d rows for %d sites × %d scenarios", len(seq), len(seqCfg.Sites), len(scenarios))
+	}
+	for i, r := range seq {
+		if r.Site != seqCfg.Sites[i/len(scenarios)] || r.Scenario != scenarios[i%len(scenarios)] {
+			t.Fatalf("row %d is (%s, %v), want site-major order", i, r.Site, r.Scenario.Kind)
+		}
+	}
+	if !reflect.DeepEqual(seq, par) {
+		t.Fatalf("Robustness rows differ between 1 and %d workers:\nseq: %+v\npar: %+v", parCfg.Workers, seq, par)
 	}
 }

@@ -35,6 +35,16 @@ import (
 //     maximum is skipped entirely (the common case); the rare survivors
 //     update every α directly.
 //
+// Predictions arrive in batches (AddInROIBatch): the kernel keeps the
+// running sums in locals for the whole batch, indexes one bucket array
+// by the slope's sign bit instead of branching on it, skips the
+// breakpoint search outright when the two grid-endpoint errors are
+// nonzero and of one sign, and otherwise starts the search at the
+// endpoints' zero crossing (see AddInROIBatch). Every accumulator still
+// receives its additions one prediction at a time in stream order, so
+// the Reports do not depend on how a stream is cut into batches and
+// match the one-at-a-time update bit for bit.
+//
 // The affine model means AlphaSweep does not apply the zero clamp of
 // core.Combine. Callers must therefore pass pers, cond ≥ 0 — true for
 // the predictor, whose terms are built from nonnegative powers — which
@@ -50,11 +60,14 @@ type AlphaSweep struct {
 	lo, hi float64   // grid endpoints, where the convex |err(α)| peaks
 
 	// Per-bucket slope/intercept sums, indexed by the breakpoint bucket
-	// b = #(sorted alphas < α*) ∈ [0, len(sorted)], split by the sign of
-	// m. Each bucket keeps its four sums adjacent (one cache line, one
+	// b = #(sorted alphas < α*) ∈ [0, len(sorted)] plus, for m < 0, one
+	// row offset of len(sorted)+1: row 0 holds the m > 0 predictions,
+	// row 1 the m < 0 ones. A last spill bucket takes the slope-free
+	// predictions so the bucket pass needs no branch; it is never read.
+	// Each bucket keeps its four sums adjacent (one cache line, one
 	// bounds check per update); the w-prefixed pair carries the 1/ref
 	// weight for MAPE.
-	pos, neg []bucket
+	buckets []bucket
 
 	// Slope-free predictions (m == 0) contribute |c| at every α.
 	baseAbs, baseWAbs float64
@@ -68,7 +81,6 @@ type AlphaSweep struct {
 	maxAbs   []float64
 	maxFloor float64
 
-	totalSeen  int
 	outsideROI int
 
 	reports []Report // scratch reused by Reports
@@ -112,14 +124,13 @@ func (a *AlphaSweep) Reconfigure(alphas []float64) error {
 			a.perm = make([]int, na)
 			a.maxAbs = make([]float64, na)
 			a.reports = make([]Report, na)
-			a.pos = make([]bucket, na+1)
-			a.neg = make([]bucket, na+1)
+			a.buckets = make([]bucket, 2*(na+1)+1)
 		}
 		a.sorted = a.sorted[:na]
 		a.perm = a.perm[:na]
 		a.maxAbs = a.maxAbs[:na]
 		a.reports = a.reports[:na]
-		a.pos, a.neg = a.pos[:na+1], a.neg[:na+1]
+		a.buckets = a.buckets[:2*(na+1)+1]
 		for i := range a.perm {
 			a.perm[i] = i
 		}
@@ -138,15 +149,14 @@ func (a *AlphaSweep) Reconfigure(alphas []float64) error {
 
 // Reset clears the accumulated state, keeping the α grid.
 func (a *AlphaSweep) Reset() {
-	for i := range a.pos {
-		a.pos[i] = bucket{}
-		a.neg[i] = bucket{}
+	for i := range a.buckets {
+		a.buckets[i] = bucket{}
 	}
 	for i := range a.maxAbs {
 		a.maxAbs[i] = 0
 	}
 	a.baseAbs, a.baseWAbs = 0, 0
-	a.n, a.totalSeen, a.outsideROI = 0, 0, 0
+	a.n, a.outsideROI = 0, 0
 	a.sumC, a.sumM, a.sumCC, a.sumCM, a.sumMM = 0, 0, 0, 0, 0
 	a.maxFloor = 0
 }
@@ -165,22 +175,26 @@ func floatsEqual(a, b []float64) bool {
 	return true
 }
 
-// bucketOf returns the number of sorted alphas strictly below the
+// bucketOf returns the number of sorted alphas s strictly below the
 // breakpoint α* = −c/m (m ≠ 0), evaluated without the division: for
-// m > 0, s < −c/m ⟺ c + m·s < 0, and negating both coefficients folds
-// the m < 0 case into the same test. Narrow grids count sign bits in a
-// branchless pass — the boundary position is data-dependent, so an
-// early-exit scan mispredicts almost every sample — while wide grids
-// binary-search the prefix-monotone predicate. The multiply form can
+// m > 0, s < −c/m ⟺ c + m·s < 0, and negating both coefficients (a
+// sign-bit flip, no branch) folds the m < 0 case into the same test.
+// Narrow grids count sign bits in a branchless pass — the boundary
+// position is data-dependent, so an early-exit scan mispredicts almost
+// every sample — while wide grids binary-search the prefix-monotone
+// predicate. The multiply form can
 // disagree with the divided form by one bucket when c + m·s rounds
 // across zero, which perturbs the reconstructed |err| at that single α
 // by an amount on the order of the (near-zero) error itself — far
 // inside the package's association tolerance.
-func (a *AlphaSweep) bucketOf(c, m float64) int {
-	if m < 0 {
-		c, m = -c, -m
-	}
-	s := a.sorted
+//
+// bucketOf defines the bucket. AddInROIBatch reaches the same answer
+// without it for almost every prediction (see there), and calls it for
+// wide grids and for the rare zero intercept.
+func bucketOf(s []float64, c, m float64) int {
+	neg := math.Float64bits(m) & (1 << 63)
+	c = math.Float64frombits(math.Float64bits(c) ^ neg)
+	m = math.Abs(m)
 	if len(s) > 16 {
 		return bucketWide(s, c, m)
 	}
@@ -206,50 +220,158 @@ func bucketWide(s []float64, c, m float64) int {
 	return lo
 }
 
-// AddInROI scores one prediction family ê(α) = α·pers + (1−α)·cond, for
-// every α of the grid at once, against a reference the caller has
-// already established to be inside the region of interest (positive and
-// ≥ threshold), with its reciprocal hoisted like Accumulator.AddInROI.
-func (a *AlphaSweep) AddInROI(pers, cond, ref, invRef float64) {
-	a.totalSeen++
-	a.n++
-	c := ref - cond
-	m := cond - pers
-	a.sumC += c
-	a.sumM += m
-	a.sumCC += c * c
-	a.sumCM += c * m
-	a.sumMM += m * m
-	// |c + m·α| is convex, so its maximum over the sorted grid is attained
-	// at an endpoint; when neither endpoint beats the smallest current
-	// per-α maximum no maxAbs entry can change and the scan is skipped.
-	// The prune is exact (no bound slack), so maxAbs is bit-identical to
-	// the unpruned scan.
-	if math.Abs(c+m*a.lo) > a.maxFloor || math.Abs(c+m*a.hi) > a.maxFloor {
-		a.updateMax(c, m)
+// AddInROIBatch scores the prediction families ê(α) = α·pers[i] +
+// (1−α)·cond[i], for every α of the grid at once, against references
+// the caller has already established to be inside the region of
+// interest (positive and ≥ threshold), with their reciprocals hoisted
+// like Accumulator.AddInROI. The four slices must have equal lengths.
+// Feeding a stream in any number of batches gives bit-identical
+// Reports.
+//
+// The batch is scored in blocks of batchBlock predictions, each in three
+// passes. The first keeps the global sums, the slope-free sums and the
+// running maxima in locals, records each prediction's bucket when the
+// endpoint errors settle it, and queues the rest; the second searches
+// the queued predictions' buckets; the third adds every prediction into
+// its bucket. Splitting them keeps the unpredictable "does this one need
+// a search" decision off the branch predictor, and lets the bucket
+// addresses of the last pass resolve early instead of waiting on a
+// search while later predictions' loads guess whether they alias the
+// pending store. Each sum is updated by one
+// pass only, in stream order, so it receives the same additions in the
+// same order as one prediction at a time.
+//
+// The bucket is the one bucketOf defines, found faster. Rounding is
+// monotone, so with m' = |m| and c' = ±c the matching sign,
+// fl(c' + fl(m'·s)) is nondecreasing in s:
+//
+//   - When both grid-endpoint errors (already computed for the max
+//     prune) are nonzero and share a sign, every α's error lies between
+//     them and has that sign too, negated or not, so the bucket is 0 or
+//     len(sorted) and follows from two sign bits. A zero endpoint is
+//     excluded: fl(x − x) is +0 for either sign of x, so negation does
+//     not commute with rounding at zero and the sign bit of a zero error
+//     says nothing about its neighbours.
+//   - Otherwise the alphas with a negative error form a prefix of the
+//     sorted grid, and its length is bucketOf's sign-bit count unless
+//     some c' + m'·s is −0, which in round-to-nearest needs c' = −0;
+//     a zero intercept is therefore left to bucketOf. The prefix length
+//     is found from a guess — where the line through the two endpoint
+//     errors crosses zero, exact for evenly spaced grids up to rounding —
+//     corrected by stepping while a neighbour disagrees: two error
+//     evaluations for the paper's grid instead of eleven. Wide grids
+//     keep bucketOf's binary search, so a skewed grid never costs more
+//     than O(log |alphas|).
+func (a *AlphaSweep) AddInROIBatch(pers, cond, ref, invRef []float64) {
+	if len(cond) != len(pers) || len(ref) != len(pers) || len(invRef) != len(pers) {
+		panic("metrics: AddInROIBatch slice lengths differ")
 	}
-	if m == 0 {
-		absC := math.Abs(c)
-		a.baseAbs += absC
-		a.baseWAbs += invRef * absC
-		return
+	for len(pers) > batchBlock {
+		a.addBlock(pers[:batchBlock], cond[:batchBlock], ref[:batchBlock], invRef[:batchBlock])
+		pers, cond, ref, invRef = pers[batchBlock:], cond[batchBlock:], ref[batchBlock:], invRef[batchBlock:]
 	}
-	b := a.bucketOf(c, m)
-	var bk *bucket
-	if m > 0 {
-		bk = &a.pos[b]
-	} else {
-		bk = &a.neg[b]
-	}
-	bk.c += c
-	bk.m += m
-	bk.wc += invRef * c
-	bk.wm += invRef * m
+	a.addBlock(pers, cond, ref, invRef)
 }
 
-// updateMax folds one prediction into the per-α maxima and refreshes
-// the pruning floor.
-func (a *AlphaSweep) updateMax(c, m float64) {
+// batchBlock is the number of predictions addBlock scores at once; its
+// per-prediction bucket indices and search queue live on the stack.
+const batchBlock = 64
+
+// addBlock is AddInROIBatch for at most batchBlock predictions.
+func (a *AlphaSweep) addBlock(pers, cond, ref, invRef []float64) {
+	var slotBuf, queueBuf [batchBlock]int32
+	slots, queue := slotBuf[:len(pers)], queueBuf[:len(pers)]
+	nq := 0
+	s := a.sorted
+	na := len(s)
+	narrow := na <= 16
+	span := float64(na - 1)
+	lo, hi := a.lo, a.hi
+	floor := a.maxFloor
+	sumC, sumM, sumCC, sumCM, sumMM := a.sumC, a.sumM, a.sumCC, a.sumCM, a.sumMM
+	baseAbs, baseWAbs := a.baseAbs, a.baseWAbs
+	for i, p := range pers {
+		c := ref[i] - cond[i]
+		m := cond[i] - p
+		sumC += c
+		sumM += m
+		sumCC += c * c
+		sumCM += c * m
+		sumMM += m * m
+		// |c + m·α| is convex, so its maximum over the sorted grid is
+		// attained at an endpoint; when neither endpoint beats the
+		// smallest current per-α maximum no maxAbs entry can change and
+		// the scan is skipped. The prune is exact (no bound slack), so
+		// maxAbs is bit-identical to the unpruned scan.
+		el, eh := c+m*lo, c+m*hi
+		if math.Abs(el) > floor || math.Abs(eh) > floor {
+			floor = a.updateMax(c, m)
+		}
+		if m == 0 {
+			absC := math.Abs(c)
+			baseAbs += absC
+			baseWAbs += invRef[i] * absC
+			slots[i] = int32(2 * (na + 1)) // the spill bucket, never read
+			continue
+		}
+		// Record the same-sign bucket, and queue the prediction for the
+		// search unless both endpoint errors are nonzero and of one sign
+		// (an underflowing product just searches). On amd64 the append
+		// compiles to a conditional move, not a branch.
+		neg := int(math.Float64bits(m) >> 63)
+		slots[i] = int32(na*(int(math.Float64bits(el)>>63)^neg) + neg*(na+1))
+		queue[nq] = int32(i)
+		if !(el*eh > 0) {
+			nq++
+		}
+	}
+	for _, i := range queue[:nq] {
+		c := ref[i] - cond[i]
+		m := cond[i] - pers[i]
+		neg := int(math.Float64bits(m) >> 63)
+		var b int
+		if narrow && c != 0 {
+			el, eh := c+m*lo, c+m*hi
+			cs := math.Float64frombits(math.Float64bits(c) ^ uint64(neg)<<63)
+			ms := math.Abs(m)
+			// The crossing sits at fraction el/(el−eh) from lo to hi for
+			// either slope sign; NaN (both endpoints zero) guesses len.
+			x := el / (el - eh) * span
+			b = na
+			if x < span {
+				b = int(max(x, -1)) + 1
+			}
+			for b > 0 && !(cs+ms*s[b-1] < 0) {
+				b--
+			}
+			for b < na && cs+ms*s[b] < 0 {
+				b++
+			}
+		} else {
+			b = bucketOf(s, c, m)
+		}
+		slots[i] = int32(b + neg*(na+1))
+	}
+	buckets := a.buckets[:2*(na+1)+1]
+	for i, b := range slots {
+		w := invRef[i]
+		c := ref[i] - cond[i]
+		m := cond[i] - pers[i]
+		bk := &buckets[b]
+		bk.c += c
+		bk.m += m
+		bk.wc += w * c
+		bk.wm += w * m
+	}
+	a.n += len(pers)
+	a.maxFloor = floor
+	a.sumC, a.sumM, a.sumCC, a.sumCM, a.sumMM = sumC, sumM, sumCC, sumCM, sumMM
+	a.baseAbs, a.baseWAbs = baseAbs, baseWAbs
+}
+
+// updateMax folds one prediction into the per-α maxima and returns the
+// new pruning floor.
+func (a *AlphaSweep) updateMax(c, m float64) float64 {
 	floor := math.Inf(1)
 	for i, al := range a.sorted {
 		if v := math.Abs(c + m*al); v > a.maxAbs[i] {
@@ -259,7 +381,7 @@ func (a *AlphaSweep) updateMax(c, m float64) {
 			floor = a.maxAbs[i]
 		}
 	}
-	a.maxFloor = floor
+	return floor
 }
 
 // AddOutsideROI records count samples excluded by the ROI filter,
@@ -268,15 +390,11 @@ func (a *AlphaSweep) AddOutsideROI(count int) {
 	if count < 0 {
 		return
 	}
-	a.totalSeen += count
 	a.outsideROI += count
 }
 
 // N returns the number of in-ROI predictions accumulated.
 func (a *AlphaSweep) N() int { return a.n }
-
-// TotalSeen returns all samples offered, in and out of ROI.
-func (a *AlphaSweep) TotalSeen() int { return a.totalSeen }
 
 // Reports materialises one Report per α of the configured grid,
 // index-aligned with the grid passed to NewAlphaSweep/Reconfigure. The
@@ -293,29 +411,30 @@ func (a *AlphaSweep) Reports() []Report {
 	fn := float64(a.n)
 	// Group totals; the prefix at sorted index i covers buckets 0..i, so
 	// the complement (buckets > i) is total − prefix.
+	pos, neg := a.buckets[:len(a.sorted)+1], a.buckets[len(a.sorted)+1:2*len(a.sorted)+2]
 	var tpC, tpM, tpWC, tpWM float64
 	var tnC, tnM, tnWC, tnWM float64
-	for b := range a.pos {
-		tpC += a.pos[b].c
-		tpM += a.pos[b].m
-		tpWC += a.pos[b].wc
-		tpWM += a.pos[b].wm
-		tnC += a.neg[b].c
-		tnM += a.neg[b].m
-		tnWC += a.neg[b].wc
-		tnWM += a.neg[b].wm
+	for b := range pos {
+		tpC += pos[b].c
+		tpM += pos[b].m
+		tpWC += pos[b].wc
+		tpWM += pos[b].wm
+		tnC += neg[b].c
+		tnM += neg[b].m
+		tnWC += neg[b].wc
+		tnWM += neg[b].wm
 	}
 	var pC, pM, pWC, pWM float64
 	var qC, qM, qWC, qWM float64
 	for i, al := range a.sorted {
-		pC += a.pos[i].c
-		pM += a.pos[i].m
-		pWC += a.pos[i].wc
-		pWM += a.pos[i].wm
-		qC += a.neg[i].c
-		qM += a.neg[i].m
-		qWC += a.neg[i].wc
-		qWM += a.neg[i].wm
+		pC += pos[i].c
+		pM += pos[i].m
+		pWC += pos[i].wc
+		pWM += pos[i].wm
+		qC += neg[i].c
+		qM += neg[i].m
+		qWC += neg[i].wc
+		qWM += neg[i].wm
 		// m > 0 predictions are nonnegative at α ≥ α* (bucket ≤ i) and
 		// negative above; m < 0 the other way around.
 		sumAbs := a.baseAbs +

@@ -88,39 +88,49 @@ func checkReports(t *testing.T, label string, got, want []Report) {
 // feedRandom streams samples designed to hit every accumulation path:
 // breakpoints inside and far outside the grid, both slope signs, exact
 // zero slopes, zero terms, and the occasional huge error that exercises
-// the max-tracking prune.
+// the max-tracking prune. The bank takes one sample at a time; the sweep
+// takes them in batches of random length.
 func feedRandom(rng *rand.Rand, n int, sw *AlphaSweep, bank *directBank) {
+	var pers, cond, ref, inv []float64
+	flush := func() {
+		sw.AddInROIBatch(pers, cond, ref, inv)
+		pers, cond, ref, inv = pers[:0], cond[:0], ref[:0], inv[:0]
+	}
 	for i := 0; i < n; i++ {
-		ref := 1 + rng.Float64()*1199
-		var pers, cond float64
+		r := 1 + rng.Float64()*1199
+		var p, c float64
 		switch rng.Intn(8) {
 		case 0: // exact zero slope
-			pers = rng.Float64() * 1200
-			cond = pers
+			p = rng.Float64() * 1200
+			c = p
 		case 1: // breakpoint far below the grid
-			pers = rng.Float64() * 10
-			cond = 5000 + rng.Float64()*5000
+			p = rng.Float64() * 10
+			c = 5000 + rng.Float64()*5000
 		case 2: // breakpoint far above the grid
-			pers = 5000 + rng.Float64()*5000
-			cond = rng.Float64() * 10
+			p = 5000 + rng.Float64()*5000
+			c = rng.Float64() * 10
 		case 3: // zero terms
-			pers = 0
-			cond = rng.Float64() * 1200
+			p = 0
+			c = rng.Float64() * 1200
 		case 4: // negative terms: the affine contract has no clamp
-			pers = -rng.Float64() * 50
-			cond = rng.Float64() * 1200
+			p = -rng.Float64() * 50
+			c = rng.Float64() * 1200
 		default:
-			pers = rng.Float64() * 1200
-			cond = rng.Float64() * 1200
+			p = rng.Float64() * 1200
+			c = rng.Float64() * 1200
 		}
-		sw.AddInROI(pers, cond, ref, 1/ref)
-		bank.addInROI(pers, cond, ref, 1/ref)
+		pers, cond, ref, inv = append(pers, p), append(cond, c), append(ref, r), append(inv, 1/r)
+		bank.addInROI(p, c, r, 1/r)
 		if rng.Intn(10) == 0 {
-			c := 1 + rng.Intn(5)
-			sw.AddOutsideROI(c)
-			bank.addOutsideROI(c)
+			k := 1 + rng.Intn(5)
+			sw.AddOutsideROI(k)
+			bank.addOutsideROI(k)
+		}
+		if rng.Intn(40) == 0 {
+			flush()
 		}
 	}
+	flush()
 }
 
 func TestAlphaSweepMatchesAccumulatorBank(t *testing.T) {
@@ -145,9 +155,9 @@ func TestAlphaSweepMatchesAccumulatorBank(t *testing.T) {
 			}
 			bank := newDirectBank(t, alphas)
 			feedRandom(rand.New(rand.NewSource(42)), 4000, sw, bank)
-			if sw.N() != bank.accs[0].N() || sw.TotalSeen() != bank.accs[0].TotalSeen() {
+			if sw.N() != bank.accs[0].N() || sw.outsideROI != bank.accs[0].OutsideROI() {
 				t.Fatalf("counts: sweep (%d,%d), bank (%d,%d)",
-					sw.N(), sw.TotalSeen(), bank.accs[0].N(), bank.accs[0].TotalSeen())
+					sw.N(), sw.outsideROI, bank.accs[0].N(), bank.accs[0].OutsideROI())
 			}
 			checkReports(t, name, sw.Reports(), bank.reports())
 		})
@@ -174,14 +184,15 @@ func TestAlphaSweepReconfigure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw.AddInROI(100, 200, 150, 1.0/150)
+	sw.AddInROIBatch([]float64{100}, []float64{200}, []float64{150}, []float64{1.0 / 150})
+	sw.AddOutsideROI(3)
 
 	// Same grid: state must reset, configuration must survive.
 	if err := sw.Reconfigure(first); err != nil {
 		t.Fatal(err)
 	}
-	if sw.N() != 0 || sw.TotalSeen() != 0 {
-		t.Fatalf("Reconfigure kept state: N=%d seen=%d", sw.N(), sw.TotalSeen())
+	if sw.N() != 0 || sw.outsideROI != 0 {
+		t.Fatalf("Reconfigure kept state: N=%d outside=%d", sw.N(), sw.outsideROI)
 	}
 	bank := newDirectBank(t, first)
 	feedRandom(rand.New(rand.NewSource(7)), 500, sw, bank)
@@ -204,4 +215,186 @@ func TestAlphaSweepRejectsBadGrids(t *testing.T) {
 			t.Fatalf("grid %v accepted", bad)
 		}
 	}
+}
+
+// addInROIScalar is the one-prediction-at-a-time update the batch kernel
+// replaced, kept as the reference AddInROIBatch must match bit for bit:
+// the sums live in the struct, the slope's sign picks the bucket row by
+// a branch, and every prediction pays the full breakpoint count.
+func (a *AlphaSweep) addInROIScalar(pers, cond, ref, invRef float64) {
+	a.n++
+	c := ref - cond
+	m := cond - pers
+	a.sumC += c
+	a.sumM += m
+	a.sumCC += c * c
+	a.sumCM += c * m
+	a.sumMM += m * m
+	if math.Abs(c+m*a.lo) > a.maxFloor || math.Abs(c+m*a.hi) > a.maxFloor {
+		a.maxFloor = a.updateMax(c, m)
+	}
+	if m == 0 {
+		absC := math.Abs(c)
+		a.baseAbs += absC
+		a.baseWAbs += invRef * absC
+		return
+	}
+	b := scalarBucketOf(a.sorted, c, m)
+	var bk *bucket
+	if m > 0 {
+		bk = &a.buckets[b]
+	} else {
+		bk = &a.buckets[len(a.sorted)+1+b]
+	}
+	bk.c += c
+	bk.m += m
+	bk.wc += invRef * c
+	bk.wm += invRef * m
+}
+
+// scalarBucketOf is the branching breakpoint count the reference update
+// uses: negate both coefficients for m < 0, then count sign bits (narrow
+// grids) or binary-search (wide grids).
+func scalarBucketOf(s []float64, c, m float64) int {
+	if m < 0 {
+		c, m = -c, -m
+	}
+	if len(s) > 16 {
+		return bucketWide(s, c, m)
+	}
+	b := 0
+	for _, al := range s {
+		b += int(math.Float64bits(c+m*al) >> 63)
+	}
+	return b
+}
+
+// exactGrids are the α grids the exactness fuzz draws from: the paper's
+// grid, unsorted grids with duplicates, signed zeros, negative alphas,
+// a single α, and grids wider than 16 (the bucketWide path).
+var exactGrids = [][]float64{
+	{0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1},
+	{0.8, 0.2, 0.8, 0, 1, 0.4},
+	{math.Copysign(0, -1), 0.5, 0, 1, math.Copysign(0, -1)},
+	{0.5},
+	{-1, -0.5, 0, 2},
+	func() []float64 {
+		var g []float64
+		for i := 0; i <= 24; i++ {
+			g = append(g, float64(i)/24)
+		}
+		return append(g, 0.5)
+	}(),
+	func() []float64 {
+		g := []float64{math.Copysign(0, -1), 0}
+		for i := 20; i >= 1; i-- {
+			g = append(g, float64(i)/10-1)
+		}
+		return g
+	}(),
+}
+
+// exactStream draws n (pers, cond, ref, 1/ref) samples that hit the
+// kernel's edge cases: zero slopes, a persistence term equal to the
+// reference (a site whose slots match its recording resolution), a
+// conditioned term equal to the reference (a zero error at α = 0),
+// small integers whose errors vanish exactly at grid points, signed
+// zeros, breakpoints far outside the grid, and the raw triple (x, y, z).
+func exactStream(rng *rand.Rand, n int, x, y, z float64) (pers, cond, ref, inv []float64) {
+	negZero := math.Copysign(0, -1)
+	small := []float64{negZero, 0, 0.5, 1, 2, 4}
+	for i := 0; i < n; i++ {
+		r := 1 + rng.Float64()*1199
+		p, c := rng.Float64()*1200, rng.Float64()*1200
+		switch rng.Intn(10) {
+		case 0: // m == 0
+			c = p
+		case 1: // pers == ref
+			p = r
+		case 2: // cond == ref
+			c = r
+		case 3: // exact ties at grid points
+			p, c, r = small[rng.Intn(len(small))], small[rng.Intn(len(small))], small[rng.Intn(len(small))]
+		case 4: // signed zeros everywhere
+			p, c, r = small[rng.Intn(2)], small[rng.Intn(2)], small[rng.Intn(2)]
+		case 5: // breakpoint far outside the grid
+			c = 5000 + rng.Float64()*5000
+		case 6:
+			p, c, r = x, y, z
+		case 7:
+			p, c, r = y, x, z
+		}
+		w := 0.0
+		if r != 0 {
+			w = 1 / r
+		}
+		pers, cond, ref, inv = append(pers, p), append(cond, c), append(ref, r), append(inv, w)
+	}
+	return pers, cond, ref, inv
+}
+
+// sameBits reports whether two reports agree bit for bit on every field.
+func sameBits(a, b Report) bool {
+	return math.Float64bits(a.MAPE) == math.Float64bits(b.MAPE) &&
+		math.Float64bits(a.RMSE) == math.Float64bits(b.RMSE) &&
+		math.Float64bits(a.MAE) == math.Float64bits(b.MAE) &&
+		math.Float64bits(a.MBE) == math.Float64bits(b.MBE) &&
+		math.Float64bits(a.MaxAbsErr) == math.Float64bits(b.MaxAbsErr) &&
+		a.Samples == b.Samples && a.OutsideROI == b.OutsideROI
+}
+
+// FuzzAlphaSweepBatchExact pins the batch kernel to the scalar reference
+// update: for any stream, grid and batch size, every Report field must
+// match bit for bit, mid-stream as well as at the end.
+func FuzzAlphaSweepBatchExact(f *testing.F) {
+	negZero := math.Copysign(0, -1)
+	f.Add(int64(1), uint8(0), uint16(600), uint8(7), 300.0, 800.0, 500.0)
+	f.Add(int64(2), uint8(1), uint16(600), uint8(1), 500.0, 500.0, 300.0)             // m == 0
+	f.Add(int64(3), uint8(0), uint16(600), uint8(63), 300.0, 800.0, 300.0)            // pers == ref
+	f.Add(int64(4), uint8(2), uint16(600), uint8(16), negZero, 0.0, 0.0)              // ±0 endpoint errors
+	f.Add(int64(5), uint8(5), uint16(600), uint8(200), 2.0, 1.0, 2.0)                 // wide grid
+	f.Add(int64(6), uint8(6), uint16(600), uint8(33), negZero, negZero, 1.0)          // wide, signed zeros
+	f.Add(int64(7), uint8(4), uint16(600), uint8(5), 1.0, 3.0, 2.0)                   // negative alphas
+	f.Add(int64(8), uint8(3), uint16(600), uint8(9), 0.0, 1.0, 1.0)                   // single α
+	f.Add(int64(5), uint8(2), uint16(730), uint8(208), 0.2, 1.0, 0.45714285714285713) // −0 intercept
+	f.Fuzz(func(t *testing.T, seed int64, gridSel uint8, length uint16, batchSel uint8, x, y, z float64) {
+		for _, v := range []float64{x, y, z} {
+			if math.IsNaN(v) || math.Abs(v) > 1e150 {
+				t.Skip("inputs must be finite; squares must not overflow")
+			}
+		}
+		alphas := exactGrids[int(gridSel)%len(exactGrids)]
+		rng := rand.New(rand.NewSource(seed))
+		pers, cond, ref, inv := exactStream(rng, int(length)%2000, x, y, z)
+		batch, err := NewAlphaSweep(alphas)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scalar, err := NewAlphaSweep(alphas)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(at int) {
+			got, want := batch.Reports(), scalar.Reports()
+			for i := range want {
+				if !sameBits(got[i], want[i]) {
+					t.Fatalf("after %d samples, α[%d]=%v:\nbatch  %+v\nscalar %+v", at, i, alphas[i], got[i], want[i])
+				}
+			}
+		}
+		size := 1 + int(batchSel)
+		for lo := 0; lo < len(pers); lo += size {
+			hi := min(lo+size, len(pers))
+			batch.AddInROIBatch(pers[lo:hi], cond[lo:hi], ref[lo:hi], inv[lo:hi])
+			for i := lo; i < hi; i++ {
+				scalar.addInROIScalar(pers[i], cond[i], ref[i], inv[i])
+			}
+			if lo == 0 {
+				batch.AddOutsideROI(3)
+				scalar.AddOutsideROI(3)
+				check(hi)
+			}
+		}
+		check(len(pers))
+	})
 }

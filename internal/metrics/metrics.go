@@ -37,9 +37,6 @@ type Pair struct {
 	SlotMean float64
 }
 
-// ErrorPrime returns error′ = e(n+1) − ê(n+1) (Eq. 6).
-func (p Pair) ErrorPrime() float64 { return p.SlotStart - p.Predicted }
-
 // Error returns error = ē − ê(n+1) (Eq. 7).
 func (p Pair) Error() float64 { return p.SlotMean - p.Predicted }
 
@@ -54,9 +51,7 @@ type Accumulator struct {
 	sumSq      float64 // Σ err²             (RMSE)
 	sumAbs     float64 // Σ |err|            (MAE)
 	sumSigned  float64 // Σ err              (MBE)
-	sumRef     float64 // Σ ref              (for normalised deviation)
 	maxAbsErr  float64
-	totalSeen  int // including out-of-ROI samples
 	outsideROI int
 }
 
@@ -94,7 +89,6 @@ func PeakThreshold(peak, fraction float64) float64 {
 // for MAPE, the slot-start sample for MAPE′). Samples with reference
 // below the ROI threshold are recorded but excluded from averages.
 func (a *Accumulator) Add(predicted, reference float64) {
-	a.totalSeen++
 	if reference < a.threshold || reference <= 0 {
 		a.outsideROI++
 		return
@@ -106,7 +100,6 @@ func (a *Accumulator) Add(predicted, reference float64) {
 	a.sumSq += err * err
 	a.sumAbs += abs
 	a.sumSigned += err
-	a.sumRef += reference
 	if abs > a.maxAbsErr {
 		a.maxAbsErr = abs
 	}
@@ -119,7 +112,6 @@ func (a *Accumulator) Add(predicted, reference float64) {
 // from computing |err|/ref as |err|·(1/ref) — an ulp-level difference —
 // it accumulates exactly like Add.
 func (a *Accumulator) AddInROI(predicted, reference, invReference float64) {
-	a.totalSeen++
 	err := reference - predicted
 	abs := math.Abs(err)
 	a.n++
@@ -127,7 +119,6 @@ func (a *Accumulator) AddInROI(predicted, reference, invReference float64) {
 	a.sumSq += err * err
 	a.sumAbs += abs
 	a.sumSigned += err
-	a.sumRef += reference
 	if abs > a.maxAbsErr {
 		a.maxAbsErr = abs
 	}
@@ -139,15 +130,11 @@ func (a *Accumulator) AddOutsideROI(count int) {
 	if count < 0 {
 		return
 	}
-	a.totalSeen += count
 	a.outsideROI += count
 }
 
 // N returns the number of in-ROI samples contributing to the averages.
 func (a *Accumulator) N() int { return a.n }
-
-// TotalSeen returns all samples offered, in and out of ROI.
-func (a *Accumulator) TotalSeen() int { return a.totalSeen }
 
 // OutsideROI returns the number of samples excluded by the ROI filter.
 func (a *Accumulator) OutsideROI() int { return a.outsideROI }
@@ -189,15 +176,6 @@ func (a *Accumulator) MBE() float64 {
 // MaxAbsError returns the largest absolute in-ROI error (the outlier
 // sensitivity the paper holds against RMSE).
 func (a *Accumulator) MaxAbsError() float64 { return a.maxAbsErr }
-
-// MeanReference returns the mean in-ROI reference value; useful to put
-// MAE/RMSE on the MAPE scale.
-func (a *Accumulator) MeanReference() float64 {
-	if a.n == 0 {
-		return 0
-	}
-	return a.sumRef / float64(a.n)
-}
 
 // Reset clears the accumulator, keeping its threshold.
 func (a *Accumulator) Reset() {

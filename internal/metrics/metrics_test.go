@@ -9,9 +9,6 @@ import (
 
 func TestPairErrors(t *testing.T) {
 	p := Pair{Predicted: 80, SlotStart: 100, SlotMean: 90}
-	if p.ErrorPrime() != 20 {
-		t.Errorf("ErrorPrime = %v, want 20", p.ErrorPrime())
-	}
 	if p.Error() != 10 {
 		t.Errorf("Error = %v, want 10", p.Error())
 	}
@@ -42,8 +39,8 @@ func TestAccumulatorBasics(t *testing.T) {
 	a, _ := NewAccumulator(0)
 	a.Add(90, 100)  // err 10
 	a.Add(110, 100) // err −10
-	if a.N() != 2 || a.TotalSeen() != 2 || a.OutsideROI() != 0 {
-		t.Fatalf("counts: %d %d %d", a.N(), a.TotalSeen(), a.OutsideROI())
+	if a.N() != 2 || a.OutsideROI() != 0 {
+		t.Fatalf("counts: %d %d", a.N(), a.OutsideROI())
 	}
 	if got := a.MAPE(); math.Abs(got-0.1) > 1e-12 {
 		t.Errorf("MAPE = %v, want 0.1", got)
@@ -59,9 +56,6 @@ func TestAccumulatorBasics(t *testing.T) {
 	}
 	if got := a.MaxAbsError(); got != 10 {
 		t.Errorf("MaxAbsError = %v", got)
-	}
-	if got := a.MeanReference(); got != 100 {
-		t.Errorf("MeanReference = %v", got)
 	}
 }
 
@@ -84,7 +78,7 @@ func TestROIFilterExcludesSmallAndZero(t *testing.T) {
 
 func TestEmptyAccumulatorReportsZeros(t *testing.T) {
 	a, _ := NewAccumulator(10)
-	if a.MAPE() != 0 || a.RMSE() != 0 || a.MAE() != 0 || a.MBE() != 0 || a.MeanReference() != 0 {
+	if a.MAPE() != 0 || a.RMSE() != 0 || a.MAE() != 0 || a.MBE() != 0 {
 		t.Error("empty accumulator should report zeros")
 	}
 	r := a.Snapshot()
@@ -128,7 +122,7 @@ func TestReset(t *testing.T) {
 	a.Add(0, 100)
 	a.Add(0, 10)
 	a.Reset()
-	if a.N() != 0 || a.TotalSeen() != 0 || a.OutsideROI() != 0 || a.MAPE() != 0 {
+	if a.N() != 0 || a.OutsideROI() != 0 || a.MAPE() != 0 {
 		t.Error("Reset incomplete")
 	}
 	// Threshold survives reset.
@@ -250,9 +244,6 @@ func TestAddInROIMatchesAdd(t *testing.T) {
 		a.MaxAbsErr != b.MaxAbsErr {
 		t.Fatalf("statistics differ: %+v vs %+v", a, b)
 	}
-	if slow.TotalSeen() != fast.TotalSeen() {
-		t.Error("totalSeen differs")
-	}
 }
 
 func TestMakeAccumulatorValidation(t *testing.T) {
@@ -267,7 +258,7 @@ func TestMakeAccumulatorValidation(t *testing.T) {
 func TestAddOutsideROINegativeIgnored(t *testing.T) {
 	a, _ := MakeAccumulator(1)
 	a.AddOutsideROI(-5)
-	if a.TotalSeen() != 0 || a.OutsideROI() != 0 {
+	if a.OutsideROI() != 0 {
 		t.Error("negative count must be ignored")
 	}
 }

@@ -103,6 +103,7 @@ func (e *Eval) AdaptiveEvalMulti(d int, cands []adaptive.Candidate, sels []adapt
 
 	n := e.view.N
 	invD := 1 / float64(d)
+	span := d * n
 	thr := e.Threshold(ref)
 	first, last := e.sourceRange()
 	res := make([]AdaptiveResult, len(sels))
@@ -123,9 +124,8 @@ func (e *Eval) AdaptiveEvalMulti(d int, cands []adaptive.Candidate, sels []adapt
 			sc.rollSlide(t, dayStart, ks)
 		}
 		prevInROI = inROI
-		day := t / n
 		pers := e.view.Start[t]
-		mu := e.mu(day, (t+1)%n, d, invD)
+		mu := e.muNext(t, dayStart, span, invD)
 		for i := range ks {
 			conds[i] = mu * sc.rollPhi(i)
 		}

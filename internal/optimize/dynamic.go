@@ -85,14 +85,19 @@ func (e *Eval) DynamicEval(d int, grid core.DynamicGrid, staticBest Cell, ref Re
 	sc := e.getScratch()
 	defer e.putScratch(sc)
 	e.fillEtas(sc, d, kMax)
-	if cap(sc.conds) < len(grid.Ks) {
-		sc.conds = make([]float64, len(grid.Ks))
+	nk := len(grid.Ks)
+	if cap(sc.conds) < 2*nk {
+		sc.conds = make([]float64, 2*nk)
 	}
-	conds := sc.conds[:len(grid.Ks)]
+	// conds holds each K's conditioned term, picks the prediction of its
+	// best α: one bestAlphaPick per (prediction, K) feeds both the full
+	// adaptation and that K's α-only accumulator.
+	conds, picks := sc.conds[:nk], sc.conds[nk:2*nk]
 	sc.rollSetup(grid.Ks)
 
 	n := e.view.N
 	invD := 1 / float64(d)
+	span := d * n
 	roi := &e.roi[ref]
 	ts := roi.ts
 	dayStart := 0
@@ -106,9 +111,8 @@ func (e *Eval) DynamicEval(d int, grid core.DynamicGrid, staticBest Cell, ref Re
 			sc.rollInitAt(t, dayStart, grid.Ks)
 		}
 		prev = t
-		day := t / n
 		pers := e.view.Start[t]
-		mu := e.mu(day, (t+1)%n, d, invD)
+		mu := e.muNext(t, dayStart, span, invD)
 		for ki := range grid.Ks {
 			conds[ki] = mu * sc.rollPhi(ki)
 		}
@@ -119,7 +123,9 @@ func (e *Eval) DynamicEval(d int, grid core.DynamicGrid, staticBest Cell, ref Re
 		bestBoth := math.Inf(1)
 		var bestBothPred float64
 		for ki := range grid.Ks {
-			if err, pred := bestAlphaPick(sortedAlphas, pers, conds[ki], refVal); err < bestBoth {
+			err, pred := bestAlphaPick(sortedAlphas, pers, conds[ki], refVal)
+			picks[ki] = pred
+			if err < bestBoth {
 				bestBoth, bestBothPred = err, pred
 			}
 		}
@@ -140,8 +146,7 @@ func (e *Eval) DynamicEval(d int, grid core.DynamicGrid, staticBest Cell, ref Re
 		}
 
 		// α adapted at each fixed K.
-		for ki := range grid.Ks {
-			_, pred := bestAlphaPick(sortedAlphas, pers, conds[ki], refVal)
+		for ki, pred := range picks {
 			perK[ki].AddInROI(pred, refVal, invRef)
 		}
 	}
@@ -224,16 +229,6 @@ func searchAscending(alphas []float64, x float64) int {
 		j++
 	}
 	return j
-}
-
-// Gain returns the relative improvement of the dynamic error over the
-// static error as a fraction of the static error (e.g. 0.6 means the
-// dynamic error is 60 % lower). Zero static error yields zero gain.
-func (r *DynamicResult) Gain(dynamicMAPE float64) float64 {
-	if r.StaticMAPE <= 0 {
-		return 0
-	}
-	return (r.StaticMAPE - dynamicMAPE) / r.StaticMAPE
 }
 
 // Check verifies the clairvoyant dominance invariants that must hold by

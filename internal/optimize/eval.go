@@ -28,7 +28,8 @@
 // boundary where the cache switches μD windows — cutting a (D, K) block
 // from O(T·K) to O(T); and the whole α grid of a block is scored by one
 // metrics.AlphaSweep linear accumulator in O(log |alphas|) amortised
-// per prediction instead of |alphas| accumulator updates.
+// per prediction instead of |alphas| accumulator updates, fed in chunks
+// of region-of-interest predictions through its batch kernel.
 //
 // The paths agree to floating-point association tolerance (the fast
 // path hoists 1/reference out of the α loop, reuses cached quotients
@@ -137,6 +138,11 @@ type sweepScratch struct {
 	// sweeps are the per-K linear α-sweep accumulators of a fused block,
 	// reconfigured (and reused) per sweepBlockMulti call.
 	sweeps []*metrics.AlphaSweep
+	// chunkPers and chunkConds stage one chunk of ROI predictions for the
+	// α-sweep batch kernel: the persistence terms, shared by every K, and
+	// the conditioned terms, sweepChunk per K (K-major).
+	chunkPers  []float64
+	chunkConds []float64
 	// oneK backs the single-K slice SweepAlpha hands to sweepBlockMulti.
 	oneK [1]int
 	// rollP, rollW and rollInv are the multi-K rolling ΦK window state
@@ -282,24 +288,37 @@ func (e *Eval) reference(ref RefKind, t int) float64 {
 	return e.view.Mean[t]
 }
 
-// mu returns μD(j) as seen from source day d: the mean of slot j's
-// slot-start samples over days [d−D, d). It assumes d ≥ D (guaranteed for
-// scored predictions because warm-up ≥ D is enforced by callers). The
-// caller hoists invD = 1/D so the hot loops multiply instead of divide;
-// the two round identically for power-of-two D and within one ulp
-// otherwise, inside every cross-path tolerance (see the README's kernel
-// notes).
-func (e *Eval) mu(d, j, D int, invD float64) float64 {
-	n := e.view.N
-	return (e.prefix[d*n+j] - e.prefix[(d-D)*n+j]) * invD
+// muAt returns the μD window mean whose prefix row is i: the mean of the
+// slot-start samples of slot i mod N over the D days before row i's day
+// (prefix[i] − prefix[i−D·N], with span = D·N). Every μD read of the
+// vectorized path goes through it, with the row worked out by addition
+// instead of the day/slot split t/N, t%N. Callers guarantee i ≥ span
+// (warm-up ≥ D). They hoist invD = 1/D so the hot loops multiply instead
+// of divide; the two round identically for power-of-two D and within one
+// ulp otherwise, inside every cross-path tolerance (see the README's
+// kernel notes).
+func (e *Eval) muAt(i, span int, invD float64) float64 {
+	return (e.prefix[i] - e.prefix[i-span]) * invD
+}
+
+// muNext returns μD of the slot after source t as seen from t's own day
+// (dayStart is that day's first source): the prefix row is t+1, wrapped
+// back one day when t is the day's last slot.
+func (e *Eval) muNext(t, dayStart, span int, invD float64) float64 {
+	i := t + 1
+	if i == dayStart+e.view.N {
+		i -= e.view.N
+	}
+	return e.muAt(i, span, invD)
 }
 
 // eta returns the clamped brightness ratio η for source index src scored
-// against the μD window of day d (which is src's own day for same-day
-// window slots, or the following day for window slots reached across
-// midnight), matching core.Predictor.Phi's neutral-ratio fallback.
-func (e *Eval) eta(src, d, D int, invD float64) float64 {
-	mu := e.mu(d, src%e.view.N, D, invD)
+// against the μD window at prefix row src (src's own day, for same-day
+// window slots) or src+N (the following day, for window slots reached
+// across midnight), matching core.Predictor.Phi's neutral-ratio
+// fallback.
+func (e *Eval) eta(src, row, span int, invD float64) float64 {
+	mu := e.muAt(row, span, invD)
 	if mu <= core.MuEpsilon {
 		return 1
 	}
@@ -318,25 +337,18 @@ func (e *Eval) eta(src, d, D int, invD float64) float64 {
 func (e *Eval) fillEtas(sc *sweepScratch, D, kMax int) {
 	n := e.view.N
 	invD := 1 / float64(D)
-	first, last := e.sourceRange()
-	firstDay, lastDay := first/n, last/n
-	for d := firstDay; d <= lastDay; d++ {
-		hi := (d+1)*n - 1
-		if hi > last {
-			hi = last
-		}
-		for t := d * n; t <= hi; t++ {
-			sc.etaSame[t] = e.eta(t, d, D, invD)
-		}
+	span := D * n
+	first, last := e.sourceRange() // first is day-aligned (warmupDays·N)
+	for t := first; t <= last; t++ {
+		sc.etaSame[t] = e.eta(t, t, span, invD)
 	}
 	if kMax < 2 {
 		return
 	}
 	// Sources on day d−1 seen from day d's windows.
-	for d := firstDay; d <= lastDay; d++ {
-		row := (d - 1) * n
-		for j := n - kMax + 1; j < n; j++ {
-			sc.etaPrev[row+j] = e.eta(row+j, d, D, invD)
+	for row := first - n; row <= last-n; row += n {
+		for src := row + n - kMax + 1; src < row+n; src++ {
+			sc.etaPrev[src] = e.eta(src, src+n, span, invD)
 		}
 	}
 }
@@ -441,6 +453,10 @@ func (sc *sweepScratch) rollInitAt(t, dayStart int, ks []int) {
 	}
 }
 
+// sweepChunk is the number of ROI predictions sweepBlockMulti stages
+// before handing them to each K's α-sweep batch kernel.
+const sweepChunk = 64
+
 // sweepBlockMulti evaluates a (D, ×K, ×α) sub-grid in one rolling pass,
 // reusing the scratch η caches (which must have been filled for D and
 // kMax ≥ max K). The pass visits only the region-of-interest sources:
@@ -452,17 +468,25 @@ func (sc *sweepScratch) rollInitAt(t, dayStart int, ks []int) {
 // reciprocal) is computed once and fed to all |Ks| α-sweep
 // accumulators, and the whole α grid of each K is scored by one linear
 // accumulator; a sub-grid costs O(|ROI|·(|Ks| + log |alphas|)) instead
-// of O(|Ks|·|ROI|·(K + |alphas|)).
+// of O(|Ks|·|ROI|·(K + |alphas|)). Predictions are staged in chunks of
+// sweepChunk and scored by one AlphaSweep.AddInROIBatch call per K and
+// chunk, on scratch buffers, so a block allocates only its reports.
 //
 // The returned reports are indexed [ki][ai]. Per-K results are
 // bit-identical whatever the batching: each window's slides, inits and
-// accumulator stream depend only on its own K, which keeps the fused
-// grid search exactly equal to per-(D, K) SweepAlpha calls.
+// accumulator stream depend only on its own K, and the batch kernel
+// adds each prediction in stream order, which keeps the fused grid
+// search exactly equal to per-(D, K) SweepAlpha calls.
 func (e *Eval) sweepBlockMulti(sc *sweepScratch, D int, ks []int, alphas []float64, ref RefKind) ([][]metrics.Report, error) {
 	sc.rollSetup(ks)
 	if err := sc.setupSweeps(len(ks), alphas); err != nil {
 		return nil, err
 	}
+	if cap(sc.chunkConds) < len(ks)*sweepChunk {
+		sc.chunkPers = make([]float64, sweepChunk)
+		sc.chunkConds = make([]float64, len(ks)*sweepChunk)
+	}
+	pers, conds := sc.chunkPers[:sweepChunk], sc.chunkConds[:len(ks)*sweepChunk]
 	roi := &e.roi[ref]
 	ts := roi.ts
 	n := e.view.N
@@ -470,23 +494,30 @@ func (e *Eval) sweepBlockMulti(sc *sweepScratch, D int, ks []int, alphas []float
 	sweeps := sc.sweeps[:len(ks)]
 	start := e.view.Start
 	invD := 1 / float64(D)
+	span := D * n
 	dayStart := 0
 	prev := -2 // never adjacent to the first scored source
-	for ri := range ts {
-		t := int(ts[ri])
-		if t == prev+1 && t != dayStart+n {
-			sc.rollSlide(t, dayStart, ks)
-		} else {
-			dayStart = (t / n) * n
-			sc.rollInitAt(t, dayStart, ks)
+	for lo := 0; lo < len(ts); lo += sweepChunk {
+		hi := min(lo+sweepChunk, len(ts))
+		for ri := lo; ri < hi; ri++ {
+			t := int(ts[ri])
+			if t == prev+1 && t != dayStart+n {
+				sc.rollSlide(t, dayStart, ks)
+			} else {
+				dayStart = (t / n) * n
+				sc.rollInitAt(t, dayStart, ks)
+			}
+			prev = t
+			j := ri - lo
+			pers[j] = start[t]
+			mu := e.muNext(t, dayStart, span, invD)
+			for i := range ks {
+				conds[i*sweepChunk+j] = mu * (rollW[i] * rollInv[i])
+			}
 		}
-		prev = t
-		pers := start[t]
-		mu := e.mu(t/n, (t+1)%n, D, invD)
-		refV, invRef := roi.ref[ri], roi.invRef[ri]
-		for i := range ks {
-			cond := mu * (rollW[i] * rollInv[i])
-			sweeps[i].AddInROI(pers, cond, refV, invRef)
+		m := hi - lo
+		for i, sw := range sweeps {
+			sw.AddInROIBatch(pers[:m], conds[i*sweepChunk:i*sweepChunk+m], roi.ref[lo:hi], roi.invRef[lo:hi])
 		}
 	}
 	outside := roi.scored - len(ts)
@@ -521,9 +552,10 @@ func (sc *sweepScratch) rollSetup(ks []int) {
 // same-day source t.
 func (sc *sweepScratch) rollSlide(t, dayStart int, ks []int) {
 	etaNew := sc.etaAt(t, dayStart)
+	rollP, rollW := sc.rollP, sc.rollW
 	for i, k := range ks {
-		sc.rollW[i] += float64(k)*etaNew - sc.rollP[i]
-		sc.rollP[i] += etaNew - sc.etaAt(t-k, dayStart)
+		rollW[i] += float64(k)*etaNew - rollP[i]
+		rollP[i] += etaNew - sc.etaAt(t-k, dayStart)
 	}
 }
 

@@ -73,11 +73,6 @@ type SearchResult struct {
 	Cells []Cell
 }
 
-// MinForD returns the minimum-error cell among those with the given D.
-func (r *SearchResult) MinForD(d int) (Cell, bool) {
-	return r.minWhere(func(c Cell) bool { return c.Params.D == d })
-}
-
 // MinForK returns the minimum-error cell among those with the given K.
 func (r *SearchResult) MinForK(k int) (Cell, bool) {
 	return r.minWhere(func(c Cell) bool { return c.Params.K == k })
@@ -183,28 +178,6 @@ func (e *Eval) GridSearch(space Space, ref RefKind) (*SearchResult, error) {
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
-		}
-	}
-	return assembleResult(space, reports), nil
-}
-
-// gridSearchSequential is the single-goroutine reference implementation
-// the parallel GridSearch is tested against: one SweepAlpha per (D, K)
-// block, assembled identically. Both paths run the same block arithmetic,
-// so their results must agree cell for cell, bit for bit.
-func (e *Eval) gridSearchSequential(space Space, ref RefKind) (*SearchResult, error) {
-	if err := e.checkSpace(space); err != nil {
-		return nil, err
-	}
-	reports := make([][][]metrics.Report, len(space.Ds))
-	for di, d := range space.Ds {
-		reports[di] = make([][]metrics.Report, len(space.Ks))
-		for ki, k := range space.Ks {
-			reps, err := e.SweepAlpha(d, k, space.Alphas, ref)
-			if err != nil {
-				return nil, err
-			}
-			reports[di][ki] = reps
 		}
 	}
 	return assembleResult(space, reports), nil

@@ -6,7 +6,45 @@ import (
 	"testing"
 
 	"solarpred/internal/core"
+	"solarpred/internal/metrics"
 )
+
+// gridSearchSequential is the single-goroutine reference implementation
+// the parallel GridSearch is tested against: one SweepAlpha per (D, K)
+// block, assembled identically. Both paths run the same block arithmetic,
+// so their results must agree cell for cell, bit for bit.
+func (e *Eval) gridSearchSequential(space Space, ref RefKind) (*SearchResult, error) {
+	if err := e.checkSpace(space); err != nil {
+		return nil, err
+	}
+	reports := make([][][]metrics.Report, len(space.Ds))
+	for di, d := range space.Ds {
+		reports[di] = make([][]metrics.Report, len(space.Ks))
+		for ki, k := range space.Ks {
+			reps, err := e.SweepAlpha(d, k, space.Alphas, ref)
+			if err != nil {
+				return nil, err
+			}
+			reports[di][ki] = reps
+		}
+	}
+	return assembleResult(space, reports), nil
+}
+
+// minForD returns the minimum-error cell among those with the given D.
+func minForD(r *SearchResult, d int) (Cell, bool) {
+	return r.minWhere(func(c Cell) bool { return c.Params.D == d })
+}
+
+// relGain returns the relative improvement of a dynamic error over the
+// static error as a fraction of the static error (e.g. 0.6 means the
+// dynamic error is 60 % lower). Zero static error yields zero gain.
+func relGain(r *DynamicResult, dynamicMAPE float64) float64 {
+	if r.StaticMAPE <= 0 {
+		return 0
+	}
+	return (r.StaticMAPE - dynamicMAPE) / r.StaticMAPE
+}
 
 func smallSpace() Space {
 	return Space{
@@ -194,7 +232,7 @@ func TestMinForDAndK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, ok := res.MinForD(5)
+	c, ok := minForD(res, 5)
 	if !ok || c.Params.D != 5 {
 		t.Errorf("MinForD(5) = %+v, %v", c, ok)
 	}
@@ -207,7 +245,7 @@ func TestMinForDAndK(t *testing.T) {
 	if !ok || k.Params.K != 2 {
 		t.Errorf("MinForK(2) = %+v, %v", k, ok)
 	}
-	if _, ok := res.MinForD(99); ok {
+	if _, ok := minForD(res, 99); ok {
 		t.Error("MinForD(99) should not exist")
 	}
 	if _, ok := res.MinForK(99); ok {
@@ -286,10 +324,10 @@ func TestDynamicEvalInvariants(t *testing.T) {
 	if dyn.BothMAPE >= dyn.StaticMAPE {
 		t.Errorf("clairvoyant both %.4f not below static %.4f", dyn.BothMAPE, dyn.StaticMAPE)
 	}
-	if dyn.Gain(dyn.BothMAPE) <= 0 {
+	if relGain(dyn, dyn.BothMAPE) <= 0 {
 		t.Error("gain should be positive")
 	}
-	if dyn.Gain(dyn.BothMAPE) <= dyn.Gain(dyn.KOnlyMAPE)-1e-12 {
+	if relGain(dyn, dyn.BothMAPE) <= relGain(dyn, dyn.KOnlyMAPE)-1e-12 {
 		t.Error("both-gain should be at least K-only gain")
 	}
 }
@@ -329,7 +367,7 @@ func TestDynamicGainShrinksWithN(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return dyn.Gain(dyn.BothMAPE)
+		return relGain(dyn, dyn.BothMAPE)
 	}
 	g24, g96 := gain(24), gain(96)
 	if g24 <= 0 || g96 <= 0 {
@@ -344,11 +382,11 @@ func TestDynamicGainShrinksWithN(t *testing.T) {
 
 func TestDynamicResultGainEdgeCases(t *testing.T) {
 	r := &DynamicResult{StaticMAPE: 0}
-	if r.Gain(0.1) != 0 {
+	if relGain(r, 0.1) != 0 {
 		t.Error("zero static error should give zero gain")
 	}
 	r.StaticMAPE = 0.2
-	if math.Abs(r.Gain(0.1)-0.5) > 1e-12 {
+	if math.Abs(relGain(r, 0.1)-0.5) > 1e-12 {
 		t.Error("gain arithmetic")
 	}
 }

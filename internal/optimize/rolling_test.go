@@ -8,6 +8,15 @@ import (
 	"solarpred/internal/metrics"
 )
 
+// mu returns μD(j) as seen from source day d — the mean of slot j's
+// slot-start samples over days [d−D, d) — indexed by day and slot,
+// independently of the prefix-row arithmetic of muAt. The reference
+// implementations below read μD through it.
+func (e *Eval) mu(d, j, D int, invD float64) float64 {
+	n := e.view.N
+	return (e.prefix[d*n+j] - e.prefix[(d-D)*n+j]) * invD
+}
+
 // directSweepBlock is the retired O(|ROI|·(K + |alphas|)) sweep the
 // rolling kernel replaced: ΦK recomputed per prediction by the direct
 // window walk (phiCached) and one Accumulator per α. It is kept here as
