@@ -37,10 +37,9 @@ import (
 //
 // Predictions arrive in batches (AddInROIBatch): the kernel keeps the
 // running sums in locals for the whole batch, indexes one bucket array
-// by the slope's sign bit instead of branching on it, skips the
-// breakpoint search outright when the two grid-endpoint errors are
-// nonzero and of one sign, and otherwise starts the search at the
-// endpoints' zero crossing (see AddInROIBatch). Every accumulator still
+// by the slope's sign bit instead of branching on it, and skips the
+// breakpoint count outright when the two grid-endpoint errors are
+// nonzero and of one sign (see AddInROIBatch). Every accumulator still
 // receives its additions one prediction at a time in stream order, so
 // the Reports do not depend on how a stream is cut into batches and
 // match the one-at-a-time update bit for bit.
@@ -177,24 +176,22 @@ func floatsEqual(a, b []float64) bool {
 
 // bucketOf returns the number of sorted alphas s strictly below the
 // breakpoint α* = −c/m (m ≠ 0), evaluated without the division: for
-// m > 0, s < −c/m ⟺ c + m·s < 0, and negating both coefficients (a
-// sign-bit flip, no branch) folds the m < 0 case into the same test.
-// Narrow grids count sign bits in a branchless pass — the boundary
-// position is data-dependent, so an early-exit scan mispredicts almost
-// every sample — while wide grids binary-search the prefix-monotone
-// predicate. The multiply form can
+// m > 0, s < −c/m ⟺ c + m·s < 0, and negating both coefficients folds
+// the m < 0 case into the same test. Narrow grids count sign bits in a
+// branchless pass — the boundary position is data-dependent, so an
+// early-exit scan mispredicts almost every sample — while wide grids
+// binary-search the prefix-monotone predicate. The multiply form can
 // disagree with the divided form by one bucket when c + m·s rounds
 // across zero, which perturbs the reconstructed |err| at that single α
 // by an amount on the order of the (near-zero) error itself — far
 // inside the package's association tolerance.
 //
-// bucketOf defines the bucket. AddInROIBatch reaches the same answer
-// without it for almost every prediction (see there), and calls it for
-// wide grids and for the rare zero intercept.
+// bucketOf defines the bucket. AddInROIBatch calls it for every
+// prediction whose endpoint errors do not settle the bucket on their own.
 func bucketOf(s []float64, c, m float64) int {
-	neg := math.Float64bits(m) & (1 << 63)
-	c = math.Float64frombits(math.Float64bits(c) ^ neg)
-	m = math.Abs(m)
+	if m < 0 {
+		c, m = -c, -m
+	}
 	if len(s) > 16 {
 		return bucketWide(s, c, m)
 	}
@@ -228,64 +225,52 @@ func bucketWide(s []float64, c, m float64) int {
 // Feeding a stream in any number of batches gives bit-identical
 // Reports.
 //
-// The batch is scored in blocks of batchBlock predictions, each in three
+// The batch is scored in blocks of SweepBatch predictions, each in three
 // passes. The first keeps the global sums, the slope-free sums and the
 // running maxima in locals, records each prediction's bucket when the
-// endpoint errors settle it, and queues the rest; the second searches
-// the queued predictions' buckets; the third adds every prediction into
-// its bucket. Splitting them keeps the unpredictable "does this one need
-// a search" decision off the branch predictor, and lets the bucket
-// addresses of the last pass resolve early instead of waiting on a
-// search while later predictions' loads guess whether they alias the
-// pending store. Each sum is updated by one
-// pass only, in stream order, so it receives the same additions in the
-// same order as one prediction at a time.
+// endpoint errors settle it, and queues the rest; the second counts the
+// queued predictions' buckets with bucketOf; the third adds every
+// prediction into its bucket. Splitting them keeps the unpredictable
+// "does this one need a count" decision off the branch predictor, and
+// lets the bucket addresses of the last pass resolve early instead of
+// waiting on a count while later predictions' loads guess whether they
+// alias the pending store. Each sum is updated by one pass only, in
+// stream order, so it receives the same additions in the same order as
+// one prediction at a time.
 //
-// The bucket is the one bucketOf defines, found faster. Rounding is
+// The same-sign shortcut gives the bucket bucketOf defines. Rounding is
 // monotone, so with m' = |m| and c' = ±c the matching sign,
-// fl(c' + fl(m'·s)) is nondecreasing in s:
-//
-//   - When both grid-endpoint errors (already computed for the max
-//     prune) are nonzero and share a sign, every α's error lies between
-//     them and has that sign too, negated or not, so the bucket is 0 or
-//     len(sorted) and follows from two sign bits. A zero endpoint is
-//     excluded: fl(x − x) is +0 for either sign of x, so negation does
-//     not commute with rounding at zero and the sign bit of a zero error
-//     says nothing about its neighbours.
-//   - Otherwise the alphas with a negative error form a prefix of the
-//     sorted grid, and its length is bucketOf's sign-bit count unless
-//     some c' + m'·s is −0, which in round-to-nearest needs c' = −0;
-//     a zero intercept is therefore left to bucketOf. The prefix length
-//     is found from a guess — where the line through the two endpoint
-//     errors crosses zero, exact for evenly spaced grids up to rounding —
-//     corrected by stepping while a neighbour disagrees: two error
-//     evaluations for the paper's grid instead of eleven. Wide grids
-//     keep bucketOf's binary search, so a skewed grid never costs more
-//     than O(log |alphas|).
+// fl(c' + fl(m'·s)) is nondecreasing in s. When both grid-endpoint
+// errors (already computed for the max prune) are nonzero and share a
+// sign, every α's error lies between them and has that sign too,
+// negated or not, so the bucket is 0 or len(sorted) and follows from two
+// sign bits. A zero endpoint is excluded: fl(x − x) is +0 for either
+// sign of x, so negation does not commute with rounding at zero and the
+// sign bit of a zero error says nothing about its neighbours.
 func (a *AlphaSweep) AddInROIBatch(pers, cond, ref, invRef []float64) {
 	if len(cond) != len(pers) || len(ref) != len(pers) || len(invRef) != len(pers) {
 		panic("metrics: AddInROIBatch slice lengths differ")
 	}
-	for len(pers) > batchBlock {
-		a.addBlock(pers[:batchBlock], cond[:batchBlock], ref[:batchBlock], invRef[:batchBlock])
-		pers, cond, ref, invRef = pers[batchBlock:], cond[batchBlock:], ref[batchBlock:], invRef[batchBlock:]
+	for len(pers) > SweepBatch {
+		a.addBlock(pers[:SweepBatch], cond[:SweepBatch], ref[:SweepBatch], invRef[:SweepBatch])
+		pers, cond, ref, invRef = pers[SweepBatch:], cond[SweepBatch:], ref[SweepBatch:], invRef[SweepBatch:]
 	}
 	a.addBlock(pers, cond, ref, invRef)
 }
 
-// batchBlock is the number of predictions addBlock scores at once; its
-// per-prediction bucket indices and search queue live on the stack.
-const batchBlock = 64
+// SweepBatch is the number of predictions AddInROIBatch scores at once;
+// their bucket indices and count queue live on the stack. Callers that
+// stage predictions for the kernel size their chunks by it, so no chunk
+// is split.
+const SweepBatch = 64
 
-// addBlock is AddInROIBatch for at most batchBlock predictions.
+// addBlock is AddInROIBatch for at most SweepBatch predictions.
 func (a *AlphaSweep) addBlock(pers, cond, ref, invRef []float64) {
-	var slotBuf, queueBuf [batchBlock]int32
+	var slotBuf, queueBuf [SweepBatch]int32
 	slots, queue := slotBuf[:len(pers)], queueBuf[:len(pers)]
 	nq := 0
 	s := a.sorted
 	na := len(s)
-	narrow := na <= 16
-	span := float64(na - 1)
 	lo, hi := a.lo, a.hi
 	floor := a.maxFloor
 	sumC, sumM, sumCC, sumCM, sumMM := a.sumC, a.sumM, a.sumCC, a.sumCM, a.sumMM
@@ -315,8 +300,8 @@ func (a *AlphaSweep) addBlock(pers, cond, ref, invRef []float64) {
 			continue
 		}
 		// Record the same-sign bucket, and queue the prediction for the
-		// search unless both endpoint errors are nonzero and of one sign
-		// (an underflowing product just searches). On amd64 the append
+		// count unless both endpoint errors are nonzero and of one sign
+		// (an underflowing product is just counted). On amd64 the append
 		// compiles to a conditional move, not a branch.
 		neg := int(math.Float64bits(m) >> 63)
 		slots[i] = int32(na*(int(math.Float64bits(el)>>63)^neg) + neg*(na+1))
@@ -326,31 +311,9 @@ func (a *AlphaSweep) addBlock(pers, cond, ref, invRef []float64) {
 		}
 	}
 	for _, i := range queue[:nq] {
-		c := ref[i] - cond[i]
 		m := cond[i] - pers[i]
 		neg := int(math.Float64bits(m) >> 63)
-		var b int
-		if narrow && c != 0 {
-			el, eh := c+m*lo, c+m*hi
-			cs := math.Float64frombits(math.Float64bits(c) ^ uint64(neg)<<63)
-			ms := math.Abs(m)
-			// The crossing sits at fraction el/(el−eh) from lo to hi for
-			// either slope sign; NaN (both endpoints zero) guesses len.
-			x := el / (el - eh) * span
-			b = na
-			if x < span {
-				b = int(max(x, -1)) + 1
-			}
-			for b > 0 && !(cs+ms*s[b-1] < 0) {
-				b--
-			}
-			for b < na && cs+ms*s[b] < 0 {
-				b++
-			}
-		} else {
-			b = bucketOf(s, c, m)
-		}
-		slots[i] = int32(b + neg*(na+1))
+		slots[i] = int32(bucketOf(s, ref[i]-cond[i], m) + neg*(na+1))
 	}
 	buckets := a.buckets[:2*(na+1)+1]
 	for i, b := range slots {

@@ -239,7 +239,7 @@ func (a *AlphaSweep) addInROIScalar(pers, cond, ref, invRef float64) {
 		a.baseWAbs += invRef * absC
 		return
 	}
-	b := scalarBucketOf(a.sorted, c, m)
+	b := bucketOf(a.sorted, c, m)
 	var bk *bucket
 	if m > 0 {
 		bk = &a.buckets[b]
@@ -250,23 +250,6 @@ func (a *AlphaSweep) addInROIScalar(pers, cond, ref, invRef float64) {
 	bk.m += m
 	bk.wc += invRef * c
 	bk.wm += invRef * m
-}
-
-// scalarBucketOf is the branching breakpoint count the reference update
-// uses: negate both coefficients for m < 0, then count sign bits (narrow
-// grids) or binary-search (wide grids).
-func scalarBucketOf(s []float64, c, m float64) int {
-	if m < 0 {
-		c, m = -c, -m
-	}
-	if len(s) > 16 {
-		return bucketWide(s, c, m)
-	}
-	b := 0
-	for _, al := range s {
-		b += int(math.Float64bits(c+m*al) >> 63)
-	}
-	return b
 }
 
 // exactGrids are the α grids the exactness fuzz draws from: the paper's

@@ -140,7 +140,7 @@ type sweepScratch struct {
 	sweeps []*metrics.AlphaSweep
 	// chunkPers and chunkConds stage one chunk of ROI predictions for the
 	// α-sweep batch kernel: the persistence terms, shared by every K, and
-	// the conditioned terms, sweepChunk per K (K-major).
+	// the conditioned terms, metrics.SweepBatch per K (K-major).
 	chunkPers  []float64
 	chunkConds []float64
 	// oneK backs the single-K slice SweepAlpha hands to sweepBlockMulti.
@@ -453,10 +453,6 @@ func (sc *sweepScratch) rollInitAt(t, dayStart int, ks []int) {
 	}
 }
 
-// sweepChunk is the number of ROI predictions sweepBlockMulti stages
-// before handing them to each K's α-sweep batch kernel.
-const sweepChunk = 64
-
 // sweepBlockMulti evaluates a (D, ×K, ×α) sub-grid in one rolling pass,
 // reusing the scratch η caches (which must have been filled for D and
 // kMax ≥ max K). The pass visits only the region-of-interest sources:
@@ -469,7 +465,7 @@ const sweepChunk = 64
 // accumulators, and the whole α grid of each K is scored by one linear
 // accumulator; a sub-grid costs O(|ROI|·(|Ks| + log |alphas|)) instead
 // of O(|Ks|·|ROI|·(K + |alphas|)). Predictions are staged in chunks of
-// sweepChunk and scored by one AlphaSweep.AddInROIBatch call per K and
+// metrics.SweepBatch, the kernel's block size, and scored by one AlphaSweep.AddInROIBatch call per K and
 // chunk, on scratch buffers, so a block allocates only its reports.
 //
 // The returned reports are indexed [ki][ai]. Per-K results are
@@ -482,11 +478,12 @@ func (e *Eval) sweepBlockMulti(sc *sweepScratch, D int, ks []int, alphas []float
 	if err := sc.setupSweeps(len(ks), alphas); err != nil {
 		return nil, err
 	}
-	if cap(sc.chunkConds) < len(ks)*sweepChunk {
-		sc.chunkPers = make([]float64, sweepChunk)
-		sc.chunkConds = make([]float64, len(ks)*sweepChunk)
+	const chunk = metrics.SweepBatch
+	if cap(sc.chunkConds) < len(ks)*chunk {
+		sc.chunkPers = make([]float64, chunk)
+		sc.chunkConds = make([]float64, len(ks)*chunk)
 	}
-	pers, conds := sc.chunkPers[:sweepChunk], sc.chunkConds[:len(ks)*sweepChunk]
+	pers, conds := sc.chunkPers[:chunk], sc.chunkConds[:len(ks)*chunk]
 	roi := &e.roi[ref]
 	ts := roi.ts
 	n := e.view.N
@@ -497,8 +494,8 @@ func (e *Eval) sweepBlockMulti(sc *sweepScratch, D int, ks []int, alphas []float
 	span := D * n
 	dayStart := 0
 	prev := -2 // never adjacent to the first scored source
-	for lo := 0; lo < len(ts); lo += sweepChunk {
-		hi := min(lo+sweepChunk, len(ts))
+	for lo := 0; lo < len(ts); lo += chunk {
+		hi := min(lo+chunk, len(ts))
 		for ri := lo; ri < hi; ri++ {
 			t := int(ts[ri])
 			if t == prev+1 && t != dayStart+n {
@@ -512,12 +509,12 @@ func (e *Eval) sweepBlockMulti(sc *sweepScratch, D int, ks []int, alphas []float
 			pers[j] = start[t]
 			mu := e.muNext(t, dayStart, span, invD)
 			for i := range ks {
-				conds[i*sweepChunk+j] = mu * (rollW[i] * rollInv[i])
+				conds[i*chunk+j] = mu * (rollW[i] * rollInv[i])
 			}
 		}
 		m := hi - lo
 		for i, sw := range sweeps {
-			sw.AddInROIBatch(pers[:m], conds[i*sweepChunk:i*sweepChunk+m], roi.ref[lo:hi], roi.invRef[lo:hi])
+			sw.AddInROIBatch(pers[:m], conds[i*chunk:i*chunk+m], roi.ref[lo:hi], roi.invRef[lo:hi])
 		}
 	}
 	outside := roi.scored - len(ts)
