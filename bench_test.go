@@ -1,12 +1,10 @@
-// Benchmarks regenerating every table and figure of the paper (DESIGN.md
-// §4 maps each bench to its artefact), plus the ablation benches of
-// DESIGN.md §5 and micro-benchmarks of the hot paths.
+// Ablation benches of DESIGN.md §5, the Fig. 5 state machine, and
+// micro-benchmarks of the hot paths. The paper's table and figure drivers
+// are timed end to end by perfbench's repro-full workload, and their
+// paper-shape checks are plain tests; run `cmd/repro` for the tables.
 //
-// Table/figure benches run the experiment drivers at the reduced
-// QuickConfig scale so `go test -bench=.` completes in seconds; the key
-// result of each artefact is attached to the bench output via
-// b.ReportMetric (MAPE in percent, energy in µJ, …). Run `cmd/repro` for
-// the full paper-scale tables.
+// Each bench attaches its key result to the output via b.ReportMetric
+// (MAPE in percent, energy in µJ, …).
 package solarpred_test
 
 import (
@@ -26,102 +24,6 @@ import (
 	"solarpred/internal/timeseries"
 )
 
-// quickCfg is the shared reduced configuration for the table benches.
-func quickCfg() experiments.Config { return experiments.QuickConfig() }
-
-// --- Table I ---------------------------------------------------------------
-
-func BenchmarkTableI(b *testing.B) {
-	var rows []dataset.TableIRow
-	for i := 0; i < b.N; i++ {
-		rows = dataset.TableI()
-	}
-	if len(rows) != 6 {
-		b.Fatal("Table I must have six sites")
-	}
-	b.ReportMetric(float64(rows[2].Observations), "observations")
-}
-
-// --- Fig. 2 ----------------------------------------------------------------
-
-func BenchmarkFig2(b *testing.B) {
-	cfg := quickCfg()
-	var data *experiments.Fig2Data
-	for i := 0; i < b.N; i++ {
-		var err error
-		data, err = experiments.Fig2(cfg, "SPMD", 6)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(data.Samples)), "samples")
-}
-
-// --- Table II ---------------------------------------------------------------
-
-func BenchmarkTableII(b *testing.B) {
-	cfg := quickCfg()
-	var rows []experiments.TableIIRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.TableII(cfg, 48)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		if r.MeanError >= r.PrimeError {
-			b.Fatalf("%s: MAPE %.4f not below MAPE' %.4f — paper shape violated",
-				r.Site, r.MeanError, r.PrimeError)
-		}
-	}
-	b.ReportMetric(rows[0].MeanError*100, "MAPE%")
-	b.ReportMetric(rows[0].PrimeError*100, "MAPE'%")
-}
-
-// --- Table III ---------------------------------------------------------------
-
-func BenchmarkTableIII(b *testing.B) {
-	cfg := quickCfg()
-	var rows []experiments.TableIIIRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.TableIII(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	// Report the N=96 and N=24 errors of the first site: the headline
-	// trend is the gap between them.
-	var hi, lo float64
-	for _, r := range rows {
-		if r.Site == cfg.Sites[0] && r.N == 96 {
-			hi = r.Best.Report.MAPE
-		}
-		if r.Site == cfg.Sites[0] && r.N == 24 {
-			lo = r.Best.Report.MAPE
-		}
-	}
-	b.ReportMetric(hi*100, "MAPE@N96%")
-	b.ReportMetric(lo*100, "MAPE@N24%")
-}
-
-// --- Table IV ---------------------------------------------------------------
-
-func BenchmarkTableIV(b *testing.B) {
-	var rows []mcu.TableIVRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = mcu.TableIV(mcu.SoftFloat)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rows[0].EnergyJ*1e6, "ADC-uJ")
-	b.ReportMetric((rows[1].EnergyJ-rows[0].EnergyJ)*1e6, "predK1-uJ")
-	b.ReportMetric((rows[2].EnergyJ-rows[0].EnergyJ)*1e6, "predK7-uJ")
-}
-
 // --- Fig. 5 ----------------------------------------------------------------
 
 func BenchmarkFig5StateMachine(b *testing.B) {
@@ -135,58 +37,6 @@ func BenchmarkFig5StateMachine(b *testing.B) {
 		}
 	}
 	b.ReportMetric(tl.TotalEnergyJ()*1e3, "day-mJ")
-}
-
-// --- Fig. 6 ----------------------------------------------------------------
-
-func BenchmarkFig6(b *testing.B) {
-	var fractions []float64
-	for i := 0; i < b.N; i++ {
-		var err error
-		_, fractions, err = mcu.Fig6(mcu.SoftFloat)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(fractions[0]*100, "overhead@288%")
-	b.ReportMetric(fractions[4]*100, "overhead@24%")
-}
-
-// --- Fig. 7 ----------------------------------------------------------------
-
-func BenchmarkFig7(b *testing.B) {
-	cfg := quickCfg()
-	var series []experiments.Fig7Series
-	for i := 0; i < b.N; i++ {
-		var err error
-		series, err = experiments.Fig7(cfg, 48)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	first := series[0].MAPEs
-	b.ReportMetric(first[0]*100, "MAPE@Dmin%")
-	b.ReportMetric(first[len(first)-1]*100, "MAPE@Dmax%")
-}
-
-// --- Table V ---------------------------------------------------------------
-
-func BenchmarkTableV(b *testing.B) {
-	cfg := quickCfg()
-	var rows []experiments.TableVRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.TableV(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	r := rows[0]
-	if !r.Degenerate && r.Both >= r.Static {
-		b.Fatal("dynamic must beat static")
-	}
-	b.ReportMetric(r.Static*100, "static%")
-	b.ReportMetric(r.Both*100, "dynamic%")
 }
 
 // --- Ablations (DESIGN.md §5) -----------------------------------------------
@@ -340,7 +190,7 @@ func BenchmarkAblationObservation(b *testing.B) {
 
 // BenchmarkBaselineEWMA compares WCMA to the Kansal EWMA baseline.
 func BenchmarkBaselineEWMA(b *testing.B) {
-	cfg := quickCfg()
+	cfg := experiments.QuickConfig()
 	var rows []experiments.BaselineRow
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -351,63 +201,6 @@ func BenchmarkBaselineEWMA(b *testing.B) {
 	}
 	b.ReportMetric(rows[0].WCMA*100, "WCMA%")
 	b.ReportMetric(rows[0].EWMA*100, "EWMA%")
-}
-
-// --- Table VI (extension): realizable online parameter selection -------------
-
-func BenchmarkTableVI(b *testing.B) {
-	cfg := quickCfg()
-	cfg.Ns = []int{24}
-	var rows []experiments.TableVIRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.TableVI(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	r := rows[0]
-	b.ReportMetric(r.Static*100, "static%")
-	b.ReportMetric(r.Oracle*100, "oracle%")
-	b.ReportMetric(r.Policies[0].Report.MAPE*100, "ftl%")
-}
-
-// --- Robustness (extension): sensor fault injection ---------------------------
-
-func BenchmarkRobustness(b *testing.B) {
-	cfg := quickCfg()
-	cfg.Sites = []string{"NPCS"}
-	var rows []experiments.RobustnessRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.Robustness(cfg, 48)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	var worst float64
-	for _, r := range rows {
-		if d := r.DegradationPoints(); d > worst {
-			worst = d
-		}
-	}
-	b.ReportMetric(worst*100, "worst-degradation-pp")
-}
-
-// --- Memory design table (extension) ------------------------------------------
-
-func BenchmarkMemoryTable(b *testing.B) {
-	params := core.Params{Alpha: 0.7, D: 10, K: 2}
-	var rows []mcu.MemoryTableRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = mcu.MemoryTable(params)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(rows[0].MaxDAtThisN), "maxD@288")
-	b.ReportMetric(float64(rows[3].MaxDAtThisN), "maxD@48")
 }
 
 // --- Micro-benchmarks --------------------------------------------------------

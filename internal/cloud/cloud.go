@@ -439,13 +439,3 @@ var (
 		SeasonalAmplitude: 0.20,
 	}
 )
-
-// Presets returns all built-in climates keyed by name.
-func Presets() map[string]Climate {
-	return map[string]Climate{
-		Desert.Name:      Desert,
-		Continental.Name: Continental,
-		Humid.Name:       Humid,
-		Marine.Name:      Marine,
-	}
-}

@@ -18,18 +18,19 @@ func TestDayTypeString(t *testing.T) {
 	}
 }
 
+// presets are the built-in climates.
+var presets = []Climate{Desert, Continental, Humid, Marine}
+
 func TestPresetsValid(t *testing.T) {
-	presets := Presets()
-	if len(presets) != 4 {
-		t.Fatalf("expected 4 presets, got %d", len(presets))
-	}
-	for name, c := range presets {
+	names := map[string]bool{}
+	for _, c := range presets {
 		if err := c.Validate(); err != nil {
-			t.Errorf("preset %q invalid: %v", name, err)
+			t.Errorf("preset %q invalid: %v", c.Name, err)
 		}
-		if c.Name != name {
-			t.Errorf("preset key %q != climate name %q", name, c.Name)
+		if c.Name == "" || names[c.Name] {
+			t.Errorf("preset name %q empty or repeated", c.Name)
 		}
+		names[c.Name] = true
 	}
 }
 
@@ -95,7 +96,8 @@ func TestNewProcessRejectsInvalid(t *testing.T) {
 }
 
 func TestGenerateDayBounds(t *testing.T) {
-	for name, c := range Presets() {
+	for _, c := range presets {
+		name := c.Name
 		p, err := NewProcess(c, 12345)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -11,7 +11,8 @@ import (
 // function promises never to hand the generator an invalid world).
 func TestSampleClimateAlwaysValid(t *testing.T) {
 	jitters := []float64{0, 0.05, 0.3, 0.6, 0.95}
-	for name, base := range Presets() {
+	for _, base := range presets {
+		name := base.Name
 		for _, jitter := range jitters {
 			rng := rand.New(rand.NewSource(0xf1ee7))
 			for i := 0; i < 200; i++ {

@@ -6,6 +6,7 @@ import (
 	"solarpred/internal/adaptive"
 	"solarpred/internal/core"
 	"solarpred/internal/optimize"
+	"solarpred/internal/par"
 )
 
 // TableVIRow is one (site, N) row of the realizable dynamic-parameter
@@ -71,7 +72,7 @@ func TableVI(cfg Config) ([]TableVIRow, error) {
 	}
 	jobs := crossSitesNs(cfg.Sites, cfg.Ns)
 	rows := make([]TableVIRow, len(jobs))
-	err = parallelFor(cfg.workers(), len(jobs), func(i int) error {
+	err = par.For(cfg.Workers, len(jobs), func(i int) error {
 		site, n := jobs[i].site, jobs[i].n
 		row := TableVIRow{Site: site, N: n}
 		deg, err := Degenerate(site, n)

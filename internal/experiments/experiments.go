@@ -9,7 +9,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"solarpred/internal/core"
@@ -17,6 +16,7 @@ import (
 	"solarpred/internal/expstore"
 	"solarpred/internal/metrics"
 	"solarpred/internal/optimize"
+	"solarpred/internal/par"
 	"solarpred/internal/timeseries"
 )
 
@@ -34,9 +34,9 @@ type Config struct {
 	// Space is the static parameter search space.
 	Space optimize.Space
 	// Workers bounds the number of concurrent (site, N) evaluations a
-	// driver runs; 0 means GOMAXPROCS. Results are ordered by input
-	// index regardless of the worker count, so driver output is
-	// deterministic for any setting.
+	// driver runs; 0 means GOMAXPROCS (the par.For budget). Results are
+	// ordered by input index regardless of the worker count, so driver
+	// output is deterministic for any setting.
 	Workers int
 	// Store, when non-nil, memoises slot views, evaluators and grid-search
 	// results across every driver sharing it: each (site, N, space, ref)
@@ -69,56 +69,6 @@ func NewStore(cfg Config) *expstore.Store {
 // tuples.
 func (c Config) EvalOptions() expstore.EvalOptions {
 	return expstore.EvalOptions{WarmupDays: c.WarmupDays}
-}
-
-// workers resolves the configured worker bound.
-func (c Config) workers() int {
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// parallelFor runs fn(i) for every i in [0, n) on a bounded worker pool.
-// Callers write results into index i of a preallocated slice, which keeps
-// output ordering deterministic regardless of scheduling. The returned
-// error is the lowest-index failure, so error reporting is deterministic
-// too.
-func parallelFor(workers, n int, fn func(i int) error) error {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				errs[i] = fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // siteN is one (site, sampling rate) job of a table driver.
@@ -295,7 +245,7 @@ func TableII(cfg Config, n int) ([]TableIIRow, error) {
 		return nil, err
 	}
 	rows := make([]TableIIRow, len(cfg.Sites))
-	err := parallelFor(cfg.workers(), len(cfg.Sites), func(i int) error {
+	err := par.For(cfg.Workers, len(cfg.Sites), func(i int) error {
 		site := cfg.Sites[i]
 		e, _, err := cfg.evalFor(site, n)
 		if err != nil {
@@ -348,7 +298,7 @@ func TableIII(cfg Config) ([]TableIIIRow, error) {
 	}
 	jobs := crossSitesNs(cfg.Sites, cfg.Ns)
 	rows := make([]TableIIIRow, len(jobs))
-	err := parallelFor(cfg.workers(), len(jobs), func(i int) error {
+	err := par.For(cfg.Workers, len(jobs), func(i int) error {
 		row, err := tableIIIRow(cfg, jobs[i].site, jobs[i].n)
 		if err != nil {
 			return err
@@ -413,7 +363,7 @@ func Fig7(cfg Config, n int) ([]Fig7Series, error) {
 		return nil, err
 	}
 	out := make([]Fig7Series, len(cfg.Sites))
-	err := parallelFor(cfg.workers(), len(cfg.Sites), func(i int) error {
+	err := par.For(cfg.Workers, len(cfg.Sites), func(i int) error {
 		site := cfg.Sites[i]
 		e, _, err := cfg.evalFor(site, n)
 		if err != nil {
@@ -469,7 +419,7 @@ func TableV(cfg Config) ([]TableVRow, error) {
 	grid := core.DynamicGrid{Alphas: cfg.Space.Alphas, Ks: cfg.Space.Ks}
 	jobs := crossSitesNs(cfg.Sites, cfg.Ns)
 	rows := make([]TableVRow, len(jobs))
-	err := parallelFor(cfg.workers(), len(jobs), func(i int) error {
+	err := par.For(cfg.Workers, len(jobs), func(i int) error {
 		site, n := jobs[i].site, jobs[i].n
 		row := TableVRow{Site: site, N: n}
 		deg, err := Degenerate(site, n)
@@ -601,7 +551,7 @@ func Guidelines(cfg Config, n int) ([]Guideline, error) {
 		return nil, fmt.Errorf("experiments: guideline D=%d exceeds warm-up %d", params.D, cfg.WarmupDays)
 	}
 	out := make([]Guideline, len(cfg.Sites))
-	err := parallelFor(cfg.workers(), len(cfg.Sites), func(i int) error {
+	err := par.For(cfg.Workers, len(cfg.Sites), func(i int) error {
 		site := cfg.Sites[i]
 		e, _, err := cfg.evalFor(site, n)
 		if err != nil {
@@ -658,7 +608,7 @@ func Baselines(cfg Config, n int, betas []float64) ([]BaselineRow, error) {
 		return nil, fmt.Errorf("experiments: no EWMA betas")
 	}
 	rows := make([]BaselineRow, len(cfg.Sites))
-	err := parallelFor(cfg.workers(), len(cfg.Sites), func(i int) error {
+	err := par.For(cfg.Workers, len(cfg.Sites), func(i int) error {
 		site := cfg.Sites[i]
 		e, _, err := cfg.evalFor(site, n)
 		if err != nil {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"solarpred/internal/faults"
 	"solarpred/internal/optimize"
+	"solarpred/internal/par"
 	"solarpred/internal/timeseries"
 )
 
@@ -44,7 +45,7 @@ func Robustness(cfg Config, n int) ([]RobustnessRow, error) {
 		mape  float64
 	}
 	cleans := make([]cleanSite, len(cfg.Sites))
-	err := parallelFor(cfg.workers(), len(cfg.Sites), func(i int) error {
+	err := par.For(cfg.Workers, len(cfg.Sites), func(i int) error {
 		trace, err := cfg.Trace(cfg.Sites[i])
 		if err != nil {
 			return err
@@ -68,7 +69,7 @@ func Robustness(cfg Config, n int) ([]RobustnessRow, error) {
 	}
 	scenarios := faults.Scenarios()
 	rows := make([]RobustnessRow, len(cfg.Sites)*len(scenarios))
-	err = parallelFor(cfg.workers(), len(rows), func(i int) error {
+	err = par.For(cfg.Workers, len(rows), func(i int) error {
 		clean := cleans[i/len(scenarios)]
 		sc := scenarios[i%len(scenarios)]
 		corrupted, damage, err := faults.Inject(clean.trace, sc)

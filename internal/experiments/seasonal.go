@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"solarpred/internal/core"
 	"solarpred/internal/optimize"
 )
@@ -69,33 +67,4 @@ func Seasonal(cfg Config, site string, n int, params core.Params) ([]MonthError,
 		out = append(out, me)
 	}
 	return out, nil
-}
-
-// SeasonalSpread summarises a Seasonal result: the best and worst month
-// (among months with data) and their errors.
-type SeasonalSpread struct {
-	BestMonth, WorstMonth int
-	BestMAPE, WorstMAPE   float64
-}
-
-// Spread computes the seasonal spread of a monthly series.
-func Spread(months []MonthError) (SeasonalSpread, error) {
-	s := SeasonalSpread{}
-	found := false
-	for _, m := range months {
-		if m.Samples == 0 {
-			continue
-		}
-		if !found || m.MAPE < s.BestMAPE {
-			s.BestMonth, s.BestMAPE = m.Month, m.MAPE
-		}
-		if !found || m.MAPE > s.WorstMAPE {
-			s.WorstMonth, s.WorstMAPE = m.Month, m.MAPE
-		}
-		found = true
-	}
-	if !found {
-		return s, fmt.Errorf("experiments: no month has scored samples")
-	}
-	return s, nil
 }

@@ -41,30 +41,36 @@ func TestSeasonalFullYear(t *testing.T) {
 		t.Error("January has no samples despite short warm-up")
 	}
 	var total int
+	var best, worst MonthError
 	for _, m := range months {
-		total += m.Samples
-		if m.Samples > 0 && (m.MAPE <= 0 || m.MAPE > 1.5) {
+		if m.Samples == 0 {
+			continue
+		}
+		if m.MAPE <= 0 || m.MAPE > 1.5 {
 			t.Errorf("month %d MAPE %.4f implausible", m.Month, m.MAPE)
 		}
+		if total == 0 || m.MAPE < best.MAPE {
+			best = m
+		}
+		if total == 0 || m.MAPE > worst.MAPE {
+			worst = m
+		}
+		total += m.Samples
 	}
 	if total == 0 {
 		t.Fatal("no samples at all")
 	}
-	s, err := Spread(months)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.WorstMAPE <= s.BestMAPE {
+	if worst.MAPE <= best.MAPE {
 		t.Error("spread degenerate")
 	}
 	// A variable continental site must show a real month-to-month spread
 	// (the realised best/worst months are stochastic, so only the
 	// magnitude is asserted).
-	if s.WorstMAPE-s.BestMAPE < 0.03 {
+	if worst.MAPE-best.MAPE < 0.03 {
 		t.Errorf("seasonal spread only %.2fpp; expected > 3pp on SPMD",
-			(s.WorstMAPE-s.BestMAPE)*100)
+			(worst.MAPE-best.MAPE)*100)
 	}
-	if s.BestMonth == s.WorstMonth {
+	if best.Month == worst.Month {
 		t.Error("best and worst month identical")
 	}
 	// Day-length effect: December must score fewer in-ROI samples than
@@ -72,12 +78,6 @@ func TestSeasonalFullYear(t *testing.T) {
 	if months[11].Samples >= months[5].Samples {
 		t.Errorf("December samples (%d) not below June (%d)",
 			months[11].Samples, months[5].Samples)
-	}
-}
-
-func TestSpreadNoData(t *testing.T) {
-	if _, err := Spread([]MonthError{{Month: 1}, {Month: 2}}); err == nil {
-		t.Error("empty months accepted")
 	}
 }
 

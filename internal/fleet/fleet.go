@@ -10,8 +10,8 @@
 //     function) with per-node hardware spread, per-node predictor
 //     parameters and per-node sensor noise, all derived from
 //     (master seed, node index) alone;
-//   - nodes are partitioned into contiguous shards processed by a
-//     fixed-size worker pool, and each shard folds its nodes into a
+//   - nodes are partitioned into contiguous shards handed out by
+//     par.For, and each shard folds its nodes into a
 //     streaming ShardAgg (exact energy sums, one-pass MAPE moments, a
 //     bounded-memory quantile sketch, dead/degraded counts) — memory is
 //     O(shards + sites), never O(nodes);
@@ -29,7 +29,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sync"
 	"time"
 
 	"solarpred/internal/cloud"
@@ -38,6 +37,7 @@ import (
 	"solarpred/internal/expstore"
 	"solarpred/internal/harvest"
 	"solarpred/internal/metrics"
+	"solarpred/internal/par"
 	"solarpred/internal/solar"
 	"solarpred/internal/timeseries"
 )
@@ -71,7 +71,8 @@ type Config struct {
 	// Shards is the number of contiguous node ranges aggregated
 	// independently (0 = 4× workers). Memory for aggregates is O(Shards).
 	Shards int
-	// Workers is the worker-pool size (0 = GOMAXPROCS).
+	// Workers caps the goroutines of each parallel phase (0 =
+	// GOMAXPROCS); par.For's process-wide budget bounds them too.
 	Workers int
 	// Days is the simulated trace length per node.
 	Days int
@@ -473,8 +474,8 @@ type RunResult struct {
 }
 
 // Run executes one fleet simulation: sample sites, resolve their views
-// (in parallel, deduplicated by the store), fan shards out over the
-// worker pool, fold per-shard aggregates, merge, summarise.
+// (in parallel, deduplicated by the store), fan shards out with
+// par.For, fold per-shard aggregates, merge, summarise.
 func Run(cfg Config) (*RunResult, error) {
 	cfg, err := cfg.normalized()
 	if err != nil {
@@ -492,10 +493,10 @@ func Run(cfg Config) (*RunResult, error) {
 
 	// Phase 0: resolve every site's view and ROI threshold up front so
 	// shard workers only ever hit warm cache. Trace generation is the
-	// per-site heavy step; the pool parallelises it across sites.
+	// per-site heavy step; par.For parallelises it across sites.
 	views := make([]*timeseries.SlotView, len(sites))
 	thresholds := make([]float64, len(sites))
-	if err := parallelFor(cfg.Workers, len(sites), func(i int) error {
+	if err := par.For(cfg.Workers, len(sites), func(i int) error {
 		v, err := store.View(sites[i].Name, cfg.Days, cfg.N)
 		if err != nil {
 			return err
@@ -507,10 +508,10 @@ func Run(cfg Config) (*RunResult, error) {
 		return nil, err
 	}
 
-	// Phase 1: shards over the worker pool. Shard s owns the contiguous
+	// Phase 1: shards in parallel. Shard s owns the contiguous
 	// node range [s·Nodes/Shards, (s+1)·Nodes/Shards).
 	aggs := make([]*ShardAgg, cfg.Shards)
-	if err := parallelFor(cfg.Workers, cfg.Shards, func(s int) error {
+	if err := par.For(cfg.Workers, cfg.Shards, func(s int) error {
 		lo := s * cfg.Nodes / cfg.Shards
 		hi := (s + 1) * cfg.Nodes / cfg.Shards
 		agg := NewShardAgg()
@@ -588,41 +589,4 @@ func Sweep(cfg Config, sizes []int) ([]*RunResult, error) {
 		out = append(out, r)
 	}
 	return out, nil
-}
-
-// parallelFor runs fn(0..n-1) on a fixed-size pool and returns the first
-// error.
-func parallelFor(workers, n int, fn func(int) error) error {
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	ch := make(chan int)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := range ch {
-				if errs[w] != nil {
-					continue // drain after failure
-				}
-				errs[w] = fn(i)
-			}
-		}(w)
-	}
-	for i := 0; i < n; i++ {
-		ch <- i
-	}
-	close(ch)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

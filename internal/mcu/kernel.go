@@ -44,18 +44,6 @@ type Kernel struct {
 	// construction — on a real port this table lives in flash, so each
 	// window iteration pays one load instead of a fixed-point division.
 	thetas []fp.Q
-
-	// Rolling-ΦK state, active only for kernels built by
-	// NewRollingKernel (see rolling.go). The direct kernel keeps the
-	// paper's O(K) prediction loop so the measured cost shape — per-
-	// prediction cycles growing with K, Table IV — stays reproducible.
-	rolling bool
-	etaRing []fp.Q // last K clamped ratios, a ring
-	ringPos int
-	phiP    fp.Q // P = Ση over the ring
-	phiW    fp.Q // W = Σ i·η over the ring (i = window position 1..K)
-	kden    fp.Q // K·Σθ, the rolling Φ divisor, precomputed
-	kQ      fp.Q // K in Q16.16, precomputed
 }
 
 // NewKernel creates the embedded kernel for n slots per day.
@@ -120,9 +108,6 @@ func (k *Kernel) Observe(slot int, power float64) error {
 	k.cur[slot] = fp.FromFloat(power)
 	k.observeOps.LoadStores++
 	k.curSlot = slot + 1
-	if k.rolling {
-		k.slideRolling(slot)
-	}
 	return nil
 }
 
@@ -158,9 +143,6 @@ func (k *Kernel) rollDay() {
 		k.observeOps.LoadStores += 2
 	}
 	k.curSlot = 0
-	if k.rolling {
-		k.resyncRolling()
-	}
 }
 
 // mu returns μD(j) in Q16.16 from the maintained table (one load).
@@ -208,47 +190,38 @@ func (k *Kernel) Predict() (float64, error) {
 	n := k.curSlot - 1
 	K := k.params.K
 
-	var phi fp.Q
-	if k.rolling {
-		// The window sums were maintained by Observe; Φ = W/(K·Σθ) is
-		// one state load and one division, independent of K.
-		phi = fp.Div(k.phiW, k.kden)
+	// ΦK: weighted average of clamped ratios. θ(i) = i/K comes from
+	// the table precomputed at construction (flash on a real port;
+	// one load), but the multiply by η is live.
+	var num, den fp.Q
+	for i := 1; i <= K; i++ {
+		theta := k.thetas[i-1]
 		k.ops.LoadStores++
-		k.ops.Divs++
-	} else {
-		// ΦK: weighted average of clamped ratios. θ(i) = i/K comes from
-		// the table precomputed at construction (flash on a real port;
-		// one load), but the multiply by η is live.
-		var num, den fp.Q
-		for i := 1; i <= K; i++ {
-			theta := k.thetas[i-1]
-			k.ops.LoadStores++
-			slot := n - K + i
-			eta := fp.One
-			meas, ok := k.measured(slot)
-			var mu fp.Q
-			if slot >= 0 {
-				mu = k.mu(slot)
-			} else {
-				mu = k.mu(k.n + slot)
-			}
-			k.ops.Cmps++
-			if ok && mu > muEpsilonQ {
-				eta = fp.Div(meas, mu)
-				k.ops.Divs++
-				k.ops.Cmps++
-				if eta > k.etaMax {
-					eta = k.etaMax
-				}
-			}
-			num = fp.Add(num, fp.Mul(theta, eta))
-			den = fp.Add(den, theta)
-			k.ops.Muls++
-			k.ops.Adds += 2
+		slot := n - K + i
+		eta := fp.One
+		meas, ok := k.measured(slot)
+		var mu fp.Q
+		if slot >= 0 {
+			mu = k.mu(slot)
+		} else {
+			mu = k.mu(k.n + slot)
 		}
-		phi = fp.Div(num, den)
-		k.ops.Divs++
+		k.ops.Cmps++
+		if ok && mu > muEpsilonQ {
+			eta = fp.Div(meas, mu)
+			k.ops.Divs++
+			k.ops.Cmps++
+			if eta > k.etaMax {
+				eta = k.etaMax
+			}
+		}
+		num = fp.Add(num, fp.Mul(theta, eta))
+		den = fp.Add(den, theta)
+		k.ops.Muls++
+		k.ops.Adds += 2
 	}
+	phi := fp.Div(num, den)
+	k.ops.Divs++
 
 	next := (n + 1) % k.n
 	muNext := k.mu(next)

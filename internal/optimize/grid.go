@@ -3,11 +3,10 @@ package optimize
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"solarpred/internal/core"
 	"solarpred/internal/metrics"
+	"solarpred/internal/par"
 )
 
 // Space is the parameter search space for the grid search. The paper's
@@ -125,17 +124,17 @@ func maxOf(xs []int) int {
 
 // GridSearch exhaustively evaluates the space with the vectorized
 // evaluator, minimising the averaged error of the chosen reference kind.
-// A pool of workers pulls whole D-blocks — one history depth with every
-// (K, α) of the space — from a channel; each worker owns preallocated
-// scratch state, fills the η ratio cache once per D, and evaluates the
-// block's entire (×K, ×α) sub-grid in one fused rolling pass over the
-// region of interest (sweepBlockMulti), so the inner loops allocate
+// par.For hands out whole D-blocks — one history depth with every
+// (K, α) of the space; each block takes preallocated scratch from the
+// evaluator's pool, fills the η ratio cache once for its D, and
+// evaluates its entire (×K, ×α) sub-grid in one fused rolling pass over
+// the region of interest (sweepBlockMulti), so the inner loops allocate
 // nothing and share everything that can be shared.
 //
 // Cells are returned D-major, then K, then α, and ties are broken
 // deterministically toward smaller D, then smaller K, then smaller α, so
 // results are identical across runs and GOMAXPROCS settings (the
-// per-cell arithmetic does not depend on the worker that ran it).
+// per-cell arithmetic does not depend on the goroutine that ran it).
 func (e *Eval) GridSearch(space Space, ref RefKind) (*SearchResult, error) {
 	if err := e.checkSpace(space); err != nil {
 		return nil, err
@@ -143,42 +142,17 @@ func (e *Eval) GridSearch(space Space, ref RefKind) (*SearchResult, error) {
 
 	kMax := maxOf(space.Ks)
 	reports := make([][][]metrics.Report, len(space.Ds)) // [di][ki][ai]
-	errs := make([]error, len(space.Ds))
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(space.Ds) {
-		workers = len(space.Ds)
-	}
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := e.getScratch()
-			defer e.putScratch(sc)
-			for di := range work {
-				d := space.Ds[di]
-				e.fillEtas(sc, d, kMax)
-				perK, err := e.sweepBlockMulti(sc, d, space.Ks, space.Alphas, ref)
-				if err != nil {
-					errs[di] = err
-					continue
-				}
-				reports[di] = perK
-			}
-		}()
-	}
-	for di := range space.Ds {
-		work <- di
-	}
-	close(work)
-	wg.Wait()
-
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := par.For(0, len(space.Ds), func(di int) error {
+		sc := e.getScratch()
+		defer e.putScratch(sc)
+		d := space.Ds[di]
+		e.fillEtas(sc, d, kMax)
+		perK, err := e.sweepBlockMulti(sc, d, space.Ks, space.Alphas, ref)
+		reports[di] = perK
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return assembleResult(space, reports), nil
 }

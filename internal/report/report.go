@@ -1,5 +1,5 @@
 // Package report renders experiment results as fixed-width text tables,
-// CSV, Markdown, and ASCII charts. The goal is that every table and
+// CSV, and ASCII charts. The goal is that every table and
 // figure of the paper can be regenerated as something directly comparable
 // on a terminal and pasteable into EXPERIMENTS.md.
 package report
@@ -25,16 +25,6 @@ func NewTable(title string, headers ...string) *Table {
 // (short rows are padded, long rows extend the width computation).
 func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
-}
-
-// AddRowf appends a row of formatted cells: each argument is rendered
-// with %v.
-func (t *Table) AddRowf(cells ...interface{}) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		row[i] = fmt.Sprintf("%v", c)
-	}
-	t.AddRow(row...)
 }
 
 // columnWidths returns the display width of each column.
@@ -122,22 +112,6 @@ func (t *Table) CSV() string {
 	writeRow(t.Headers)
 	for _, r := range t.Rows {
 		writeRow(r)
-	}
-	return b.String()
-}
-
-// Markdown renders the table as a GitHub-flavoured Markdown table.
-func (t *Table) Markdown() string {
-	var b strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&b, "**%s**\n\n", t.Title)
-	}
-	b.WriteString("| " + strings.Join(t.Headers, " | ") + " |\n")
-	b.WriteString("|" + strings.Repeat("---|", len(t.Headers)) + "\n")
-	for _, r := range t.Rows {
-		cells := make([]string, len(t.Headers))
-		copy(cells, r)
-		b.WriteString("| " + strings.Join(cells, " | ") + " |\n")
 	}
 	return b.String()
 }

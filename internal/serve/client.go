@@ -89,22 +89,6 @@ func (c *Client) Stats(ctx context.Context) (*StatsResult, error) {
 	return &out, nil
 }
 
-// Health fetches liveness without retries (a health probe that retries
-// defeats its purpose).
-func (c *Client) Health(ctx context.Context) (bool, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/healthz", nil)
-	if err != nil {
-		return false, err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return false, err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	return resp.StatusCode == http.StatusOK, nil
-}
-
 // httpClient resolves the transport.
 func (c *Client) httpClient() *http.Client {
 	if c.HTTP != nil {

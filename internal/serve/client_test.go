@@ -235,8 +235,7 @@ func TestClientAgainstService(t *testing.T) {
 	}
 	<-released
 
-	ok, err := c.Health(context.Background())
-	if err != nil || !ok {
-		t.Fatalf("health = %v %v", ok, err)
+	if code := getJSON(t, ts.URL+"/healthz", nil); code != http.StatusOK {
+		t.Fatalf("healthz = %d", code)
 	}
 }

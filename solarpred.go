@@ -112,9 +112,9 @@ type Report = metrics.Report
 // methodology (days 21–365, samples ≥ 10 % of peak). It is a
 // precomputed, share-everything engine: the slot view's per-slot
 // prefix-sum columns give O(1) windowed means, the region-of-interest
-// filter is resolved once at construction, and grid searches run on a
-// worker pool with per-worker scratch and per-D shared ΦK ratio caches —
-// see internal/optimize for the details.
+// filter is resolved once at construction, and grid searches run their
+// D-blocks in parallel with pooled scratch and per-D shared ΦK ratio
+// caches — see internal/optimize for the details.
 type Evaluator = optimize.Eval
 
 // NewEvaluator builds an evaluator for a slot view with the paper's
