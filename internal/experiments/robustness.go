@@ -82,13 +82,10 @@ func Robustness(cfg Config, n int) ([]RobustnessRow, error) {
 		}
 		// Score the faulty predictor inputs against the clean references:
 		// Start comes from the corrupted trace, Mean from the clean one.
-		// Rebuild the prefix columns so they describe the hybrid's own
-		// columns (the copied MeanPrefix would otherwise describe the
-		// corrupted means).
+		// The prefix column describes Start only, so the copied
+		// StartPrefix still fits the hybrid.
 		hybrid := *faultyView
 		hybrid.Mean = clean.view.Mean
-		hybrid.StartPrefix, hybrid.MeanPrefix = nil, nil
-		hybrid.BuildPrefix()
 		eval, err := optimize.NewEval(&hybrid, optimize.WithWarmupDays(cfg.WarmupDays))
 		if err != nil {
 			return err

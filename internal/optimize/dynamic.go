@@ -116,7 +116,8 @@ func (e *Eval) DynamicEval(d int, grid core.DynamicGrid, staticBest Cell, ref Re
 		for ki := range grid.Ks {
 			conds[ki] = mu * sc.rollPhi(ki)
 		}
-		refVal, invRef := roi.ref[ri], roi.invRef[ri]
+		refVal := e.reference(ref, t)
+		invRef := 1 / refVal
 
 		// Full adaptation: best α per K via the bracket pick, then min
 		// over K.

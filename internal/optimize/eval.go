@@ -97,10 +97,9 @@ type Eval struct {
 	// benches raise it to +Inf to measure what the clamp is worth.
 	etaMax float64
 	// roi caches, per reference kind, the scored source indices that pass
-	// the region-of-interest filter together with their reference values
-	// and reciprocals. Night and twilight slots — typically more than half
-	// of a year-long trace — are excluded once here instead of being
-	// re-filtered on every prediction of every sweep.
+	// the region-of-interest filter. Night and twilight slots — typically
+	// more than half of a year-long trace — are excluded once here instead
+	// of being re-filtered on every prediction of every sweep.
 	roi [2]roiIndex
 	// scratch pools per-worker sweep state (η caches, θ tables,
 	// accumulators) so repeated sweeps allocate nothing in steady state.
@@ -111,11 +110,9 @@ type Eval struct {
 // reference kind.
 type roiIndex struct {
 	// ts are the flat source indices t (ascending) within the scored
-	// range whose reference value passes the ROI threshold.
+	// range whose reference value passes the ROI threshold, sized exactly
+	// (len == cap); sweeps read the references from the view.
 	ts []int32
-	// ref[i] is the reference value for ts[i]; invRef[i] its reciprocal.
-	ref    []float64
-	invRef []float64
 	// scored is the total number of scored sources (in and out of ROI).
 	scored int
 }
@@ -138,11 +135,12 @@ type sweepScratch struct {
 	// sweeps are the per-K linear α-sweep accumulators of a fused block,
 	// reconfigured (and reused) per sweepBlockMulti call.
 	sweeps []*metrics.AlphaSweep
-	// chunkPers and chunkConds stage one chunk of ROI predictions for the
-	// α-sweep batch kernel: the persistence terms, shared by every K, and
-	// the conditioned terms, metrics.SweepBatch per K (K-major).
-	chunkPers  []float64
-	chunkConds []float64
+	// chunkShared and chunkConds stage one chunk of ROI predictions for
+	// the α-sweep batch kernel: the persistence terms, references and
+	// reciprocals shared by every K (metrics.SweepBatch each, back to
+	// back), and the conditioned terms, metrics.SweepBatch per K (K-major).
+	chunkShared []float64
+	chunkConds  []float64
 	// oneK backs the single-K slice SweepAlpha hands to sweepBlockMulti.
 	oneK [1]int
 	// rollP, rollW and rollInv are the multi-K rolling ΦK window state
@@ -230,21 +228,19 @@ func NewEval(view *timeseries.SlotView, opts ...Option) (*Eval, error) {
 }
 
 // buildROI resolves the region-of-interest filter for one reference kind
-// once: every later sweep iterates only the surviving indices.
+// once: every later sweep iterates only the surviving indices. The index
+// lives as long as its evaluator, so it is copied out at its exact size.
 func (e *Eval) buildROI(ref RefKind) roiIndex {
 	first, last := e.sourceRange()
 	thr := e.Threshold(ref)
-	idx := roiIndex{scored: last - first + 1}
+	ts := make([]int32, 0, last-first+1)
 	for t := first; t <= last; t++ {
-		rv := e.reference(ref, t)
-		if rv < thr || rv <= 0 {
+		if rv := e.reference(ref, t); rv < thr || rv <= 0 {
 			continue
 		}
-		idx.ts = append(idx.ts, int32(t))
-		idx.ref = append(idx.ref, rv)
-		idx.invRef = append(idx.invRef, 1/rv)
+		ts = append(ts, int32(t))
 	}
-	return idx
+	return roiIndex{ts: append(make([]int32, 0, len(ts)), ts...), scored: last - first + 1}
 }
 
 // newScratch allocates a sweep scratch sized for the view.
@@ -480,10 +476,11 @@ func (e *Eval) sweepBlockMulti(sc *sweepScratch, D int, ks []int, alphas []float
 	}
 	const chunk = metrics.SweepBatch
 	if cap(sc.chunkConds) < len(ks)*chunk {
-		sc.chunkPers = make([]float64, chunk)
+		sc.chunkShared = make([]float64, 3*chunk)
 		sc.chunkConds = make([]float64, len(ks)*chunk)
 	}
-	pers, conds := sc.chunkPers[:chunk], sc.chunkConds[:len(ks)*chunk]
+	pers, refs, invs := sc.chunkShared[:chunk], sc.chunkShared[chunk:2*chunk], sc.chunkShared[2*chunk:3*chunk]
+	conds := sc.chunkConds[:len(ks)*chunk]
 	roi := &e.roi[ref]
 	ts := roi.ts
 	n := e.view.N
@@ -507,6 +504,8 @@ func (e *Eval) sweepBlockMulti(sc *sweepScratch, D int, ks []int, alphas []float
 			prev = t
 			j := ri - lo
 			pers[j] = start[t]
+			rv := e.reference(ref, t)
+			refs[j], invs[j] = rv, 1/rv
 			mu := e.muNext(t, dayStart, span, invD)
 			for i := range ks {
 				conds[i*chunk+j] = mu * (rollW[i] * rollInv[i])
@@ -514,7 +513,7 @@ func (e *Eval) sweepBlockMulti(sc *sweepScratch, D int, ks []int, alphas []float
 		}
 		m := hi - lo
 		for i, sw := range sweeps {
-			sw.AddInROIBatch(pers[:m], conds[i*chunk:i*chunk+m], roi.ref[lo:hi], roi.invRef[lo:hi])
+			sw.AddInROIBatch(pers[:m], conds[i*chunk:i*chunk+m], refs[:m], invs[:m])
 		}
 	}
 	outside := roi.scored - len(ts)

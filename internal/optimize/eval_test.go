@@ -275,3 +275,44 @@ func TestThresholdPerRefKind(t *testing.T) {
 		t.Error("thresholds must be positive for a sunny trace")
 	}
 }
+
+// TestROIIndexExact pins the region-of-interest index: for each reference
+// kind it holds exactly the scored sources whose reference clears the
+// threshold, in ascending order, with no growth slack (len == cap) —
+// the index lives as long as the evaluator that owns it.
+func TestROIIndexExact(t *testing.T) {
+	view := testView(t, "SPMD", 25, 48)
+	e := newEval(t, view, WithWarmupDays(5))
+	first, last := 5*view.N, view.TotalSlots()-2
+	for _, ref := range []RefKind{RefSlotMean, RefSlotStart} {
+		roi := e.roi[ref]
+		if len(roi.ts) != cap(roi.ts) {
+			t.Errorf("%v: len %d != cap %d", ref, len(roi.ts), cap(roi.ts))
+		}
+		if roi.scored != last-first+1 {
+			t.Errorf("%v: scored %d, want %d", ref, roi.scored, last-first+1)
+		}
+		thr := e.Threshold(ref)
+		var want []int32
+		for src := first; src <= last; src++ {
+			rv := view.Mean[src]
+			if ref == RefSlotStart {
+				rv = view.Start[src+1]
+			}
+			if rv >= thr && rv > 0 {
+				want = append(want, int32(src))
+			}
+		}
+		if len(want) == 0 || len(want) == roi.scored {
+			t.Fatalf("%v: degenerate filter admits %d of %d sources", ref, len(want), roi.scored)
+		}
+		if len(roi.ts) != len(want) {
+			t.Fatalf("%v: index holds %d sources, filter admits %d", ref, len(roi.ts), len(want))
+		}
+		for i := range want {
+			if roi.ts[i] != want[i] {
+				t.Fatalf("%v: ts[%d] = %d, want %d", ref, i, roi.ts[i], want[i])
+			}
+		}
+	}
+}

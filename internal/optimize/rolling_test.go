@@ -38,12 +38,13 @@ func directSweepBlock(t testing.TB, e *Eval, D, K int, alphas []float64, ref Ref
 	}
 	roi := &e.roi[ref]
 	n := e.view.N
-	for i, t32 := range roi.ts {
+	for _, t32 := range roi.ts {
 		tt := int(t32)
 		d := tt / n
 		pers := e.view.Start[tt]
 		cond := e.mu(d, (tt+1)%n, D, 1/float64(D)) * e.phiCached(sc, tt, K, thetas, den)
-		refVal, invRef := roi.ref[i], roi.invRef[i]
+		refVal := e.reference(ref, tt)
+		invRef := 1 / refVal
 		for ai, a := range alphas {
 			accs[ai].AddInROI(core.Combine(a, pers, cond), refVal, invRef)
 		}
@@ -143,7 +144,7 @@ func directDynamicEval(t testing.TB, e *Eval, d int, grid core.DynamicGrid, ref 
 	conds := make([]float64, len(grid.Ks))
 	n := e.view.N
 	roi := &e.roi[ref]
-	for i, t32 := range roi.ts {
+	for _, t32 := range roi.ts {
 		tt := int(t32)
 		day := tt / n
 		pers := e.view.Start[tt]
@@ -151,7 +152,8 @@ func directDynamicEval(t testing.TB, e *Eval, d int, grid core.DynamicGrid, ref 
 		for ki, k := range grid.Ks {
 			conds[ki] = mu * e.phiCached(sc, tt, k, thetaByK[ki], denByK[ki])
 		}
-		refVal, invRef := roi.ref[i], roi.invRef[i]
+		refVal := e.reference(ref, tt)
+		invRef := 1 / refVal
 		bestBoth := math.Inf(1)
 		var bestBothPred float64
 		for ki := range grid.Ks {

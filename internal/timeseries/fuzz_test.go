@@ -97,7 +97,6 @@ func FuzzSlotWindowMeans(f *testing.F) {
 			D := 1 + rng.Intn(d)
 			j := rng.Intn(n)
 			checkWindow(t, "start", v.WindowStartMean(d, j, D), v.Start, v.N, d, j, D)
-			checkWindow(t, "mean", v.WindowSlotMean(d, j, D), v.Mean, v.N, d, j, D)
 		}
 	})
 }

@@ -62,15 +62,18 @@ func (v *SlotView) Coarsen(n int) (*SlotView, error) {
 // aggregating an M == 1 donor performs the same sequential sums as
 // Series.Slot, every derived view is bit-identical to direct slotting —
 // and independent of request order or goroutine scheduling, the property
-// the experiment store's determinism rests on. The ladder rates are
-// built eagerly at construction; other rates are derived on first
+// the experiment store's determinism rests on. The view at the native
+// rate itself is the base plus its own prefix column. The ladder rates
+// are built eagerly at construction; other rates are derived on first
 // request. Ladder rates that do not divide the series' per-day sample
 // count are skipped (requesting them later reports the usual slotting
 // error).
 //
 // All methods are safe for concurrent use. Memory is bounded by the set
-// of distinct rates requested: one view holds four float64 columns of
-// days x n (plus two prefix rows), and nothing is ever evicted.
+// of distinct rates requested: a derived view holds three float64
+// columns of days x n (Start, Mean and StartPrefix, plus one prefix
+// row), the native-rate view only its prefix column, and nothing is
+// ever evicted.
 type Pyramid struct {
 	series *Series
 	// base is the prefix-free unit slotting whose columns alias the raw
@@ -120,9 +123,15 @@ func NewPyramid(s *Series, ladder []int) (*Pyramid, error) {
 }
 
 // build derives the view at rate n from the base (bit-identical to
-// slotting the series directly), falling back to Series.Slot for the
-// base rate itself and for invalid rates (which report its error).
+// slotting the series directly). At the base rate it copies the base,
+// whose columns alias the samples (at M = 1 a slot's mean is its sample),
+// and builds only the prefix; invalid rates get Series.Slot's error.
 func (p *Pyramid) build(n int) (*SlotView, error) {
+	if n == p.base.N {
+		v := *p.base
+		v.BuildPrefix()
+		return &v, nil
+	}
 	if n > 0 && n < p.base.N && p.base.N%n == 0 {
 		return p.base.Coarsen(n)
 	}

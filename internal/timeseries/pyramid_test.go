@@ -142,6 +142,50 @@ func TestPyramidLadder(t *testing.T) {
 	}
 }
 
+// TestPyramidNativeRateAliasesSamples pins the native-rate view (M = 1):
+// every column, the prefix included, is bit-identical to Series.Slot at
+// that rate, while Start and Mean share the series' backing array instead
+// of copying it.
+func TestPyramidNativeRateAliasesSamples(t *testing.T) {
+	s := randSeries(t, 5, 7, 9)
+	n := s.SamplesPerDay()
+	for _, ladder := range [][]int{{n, 48}, {48}} { // eager and on-demand builds
+		p, err := NewPyramid(s, ladder)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := p.View(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := s.Slot(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.N != direct.N || v.M != direct.M || v.DaysCount != direct.DaysCount || v.SlotMinutes != direct.SlotMinutes {
+			t.Fatalf("ladder %v: geometry %+v vs %+v", ladder, v, direct)
+		}
+		for name, cols := range map[string][2][]float64{
+			"Start":       {v.Start, direct.Start},
+			"Mean":        {v.Mean, direct.Mean},
+			"StartPrefix": {v.StartPrefix, direct.StartPrefix},
+		} {
+			got, want := cols[0], cols[1]
+			if len(got) != len(want) {
+				t.Fatalf("ladder %v: %s has %d cells, direct %d", ladder, name, len(got), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("ladder %v: %s[%d] = %v, direct %v", ladder, name, i, got[i], want[i])
+				}
+			}
+		}
+		if &v.Start[0] != &s.Samples[0] || &v.Mean[0] != &s.Samples[0] {
+			t.Fatalf("ladder %v: native view copies the samples instead of aliasing them", ladder)
+		}
+	}
+}
+
 func TestPyramidRejectsEmptySeries(t *testing.T) {
 	if _, err := NewPyramid(nil, []int{48}); err == nil {
 		t.Error("nil series accepted")

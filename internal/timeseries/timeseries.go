@@ -151,10 +151,11 @@ func (s *Series) Decimate(resolutionMinutes int) (*Series, error) {
 // and the mean power over the slot's M samples — the value against which
 // the paper's Eq. 7 error is computed.
 //
-// Slot additionally builds per-slot prefix-sum columns over the days, so
-// any D-day windowed mean (the predictor's μD, or a windowed slot mean)
-// costs two loads and a division instead of a D-term sum. The evaluation
-// engine in internal/optimize leans on these columns for its O(1) μD.
+// Slot additionally builds a per-slot prefix-sum column over the days of
+// the Start column, so any D-day windowed mean of slot-start samples (the
+// predictor's μD) costs two loads and a division instead of a D-term sum.
+// The evaluation engine in internal/optimize leans on this column for its
+// O(1) μD.
 type SlotView struct {
 	// N is the number of slots per day (the sampling rate of the
 	// prediction algorithm).
@@ -171,10 +172,9 @@ type SlotView struct {
 	SlotMinutes int
 	// StartPrefix[d*N+j] for d ∈ [0, DaysCount] is the sum of Start[d'*N+j]
 	// over d' < d: a per-slot prefix over days. Built by Slot (or
-	// BuildPrefix for hand-assembled views); nil until then.
+	// BuildPrefix for hand-assembled views); nil until then. The Mean
+	// column has no prefix: nothing reads a windowed slot mean.
 	StartPrefix []float64
-	// MeanPrefix is the same per-slot prefix over the Mean column.
-	MeanPrefix []float64
 }
 
 // ErrSlotting is wrapped by slot-construction errors.
@@ -212,31 +212,27 @@ func (s *Series) Slot(n int) (*SlotView, error) {
 	return v, nil
 }
 
-// BuildPrefix (re)computes the per-slot prefix-sum columns from Start and
-// Mean. Slot calls it automatically; call it manually after assembling a
-// SlotView by hand or mutating its columns. It is not safe to call
+// BuildPrefix (re)computes the per-slot prefix-sum column from Start.
+// Slot calls it automatically; call it manually after assembling a
+// SlotView by hand or mutating its Start column. It is not safe to call
 // concurrently with readers of the same view.
 func (v *SlotView) BuildPrefix() {
 	n, days := v.N, v.DaysCount
 	if len(v.StartPrefix) != (days+1)*n {
 		v.StartPrefix = make([]float64, (days+1)*n)
 	}
-	if len(v.MeanPrefix) != (days+1)*n {
-		v.MeanPrefix = make([]float64, (days+1)*n)
-	}
 	for d := 0; d < days; d++ {
 		row, next := d*n, (d+1)*n
 		for j := 0; j < n; j++ {
 			v.StartPrefix[next+j] = v.StartPrefix[row+j] + v.Start[row+j]
-			v.MeanPrefix[next+j] = v.MeanPrefix[row+j] + v.Mean[row+j]
 		}
 	}
 }
 
-// HasPrefix reports whether the prefix-sum columns are present and sized
+// HasPrefix reports whether the prefix-sum column is present and sized
 // for the view.
 func (v *SlotView) HasPrefix() bool {
-	return len(v.StartPrefix) == (v.DaysCount+1)*v.N && len(v.MeanPrefix) == (v.DaysCount+1)*v.N
+	return len(v.StartPrefix) == (v.DaysCount+1)*v.N
 }
 
 // WindowStartMean returns the mean of slot j's slot-start samples over
@@ -244,12 +240,6 @@ func (v *SlotView) HasPrefix() bool {
 // caller must ensure 0 ≤ d−D and d ≤ DaysCount.
 func (v *SlotView) WindowStartMean(d, j, D int) float64 {
 	return (v.StartPrefix[d*v.N+j] - v.StartPrefix[(d-D)*v.N+j]) / float64(D)
-}
-
-// WindowSlotMean returns the mean of slot j's mean powers over days
-// [d−D, d) in O(1). The caller must ensure 0 ≤ d−D and d ≤ DaysCount.
-func (v *SlotView) WindowSlotMean(d, j, D int) float64 {
-	return (v.MeanPrefix[d*v.N+j] - v.MeanPrefix[(d-D)*v.N+j]) / float64(D)
 }
 
 // StartAt returns the slot-start sample for day d, slot j.

@@ -313,16 +313,12 @@ func TestSlotBuildsPrefixColumns(t *testing.T) {
 	for _, D := range []int{1, 2, 5} {
 		for d := D; d <= days; d++ {
 			for j := 0; j < v.N; j += 7 {
-				var sumS, sumM float64
+				var sumS float64
 				for dd := d - D; dd < d; dd++ {
 					sumS += v.StartAt(dd, j)
-					sumM += v.MeanAt(dd, j)
 				}
 				if got, want := v.WindowStartMean(d, j, D), sumS/float64(D); math.Abs(got-want) > 1e-9*(1+want) {
 					t.Fatalf("WindowStartMean(%d,%d,%d) = %v, want %v", d, j, D, got, want)
-				}
-				if got, want := v.WindowSlotMean(d, j, D), sumM/float64(D); math.Abs(got-want) > 1e-9*(1+want) {
-					t.Fatalf("WindowSlotMean(%d,%d,%d) = %v, want %v", d, j, D, got, want)
 				}
 			}
 		}
@@ -343,8 +339,5 @@ func TestBuildPrefixOnHandAssembledView(t *testing.T) {
 	}
 	if got := v.WindowStartMean(3, 0, 3); math.Abs(got-3) > 1e-12 {
 		t.Errorf("WindowStartMean = %v, want 3", got)
-	}
-	if got := v.WindowSlotMean(2, 1, 2); math.Abs(got-3) > 1e-12 {
-		t.Errorf("WindowSlotMean = %v, want 3", got)
 	}
 }
