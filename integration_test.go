@@ -206,11 +206,12 @@ func TestReproducibilityAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestExperimentDriversShareTraces verifies the experiments cache: two
+// TestExperimentDriversShareTraces verifies the experiment store: two
 // drivers touching the same site at the same length must reuse one
 // generated trace (a wall-clock guarantee for cmd/repro).
 func TestExperimentDriversShareTraces(t *testing.T) {
 	cfg := experiments.QuickConfig()
+	cfg.Store = experiments.NewStore(cfg)
 	a, err := cfg.Trace("SPMD")
 	if err != nil {
 		t.Fatal(err)

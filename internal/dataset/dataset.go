@@ -6,7 +6,7 @@
 // this package substitutes a deterministic generator: a clear-sky envelope
 // from internal/solar modulated by a per-site stochastic cloud process
 // from internal/cloud. Row counts, day counts and sampling resolutions
-// match Table I exactly; see DESIGN.md §2 for the fidelity argument.
+// match Table I exactly.
 package dataset
 
 import (
@@ -329,7 +329,7 @@ func ReadCSV(r io.Reader) (*timeseries.Series, error) {
 	return timeseries.New(timeseries.MinutesPerDay/perDay, samples)
 }
 
-// Summary describes a generated trace for diagnostics and EXPERIMENTS.md.
+// Summary describes a generated trace for diagnostics.
 type Summary struct {
 	Site         string
 	Observations int

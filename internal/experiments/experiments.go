@@ -1,15 +1,14 @@
 // Package experiments contains one driver per table and figure of the
 // paper's evaluation (Section IV). Each driver generates (or accepts) the
 // site traces, runs the relevant exploration from internal/optimize or
-// internal/mcu, and returns structured rows that cmd tools, examples and
-// the bench harness render. DESIGN.md §4 maps every paper artefact to
-// the driver here that regenerates it.
+// internal/mcu, and returns structured rows that cmd/repro, examples and
+// the bench harness render. The README's "Reproducing the paper" section
+// maps every paper artefact to its cmd/repro section.
 package experiments
 
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"solarpred/internal/core"
 	"solarpred/internal/dataset"
@@ -147,30 +146,17 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// traceCache memoises generated site traces per (site, days) so the many
-// drivers in one process do not regenerate the same year.
-var traceCache sync.Map // key string -> *timeseries.Series
-
-// Trace returns the (cached) generated series for a site name at the
-// configured length, from the experiment store when one is set.
+// Trace returns the generated series for a site name at the configured
+// length: the store's cached one when a store is set, else a fresh one.
 func (c Config) Trace(siteName string) (*timeseries.Series, error) {
 	if c.Store != nil {
 		return c.Store.Series(siteName, c.Days)
-	}
-	key := fmt.Sprintf("%s/%d", siteName, c.Days)
-	if v, ok := traceCache.Load(key); ok {
-		return v.(*timeseries.Series), nil
 	}
 	site, err := dataset.SiteByName(siteName)
 	if err != nil {
 		return nil, err
 	}
-	series, err := dataset.GenerateDays(site, c.Days)
-	if err != nil {
-		return nil, err
-	}
-	traceCache.Store(key, series)
-	return series, nil
+	return dataset.GenerateDays(site, c.Days)
 }
 
 // evalFor builds the evaluator for a site at sampling rate n. It returns

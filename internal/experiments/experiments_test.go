@@ -60,6 +60,7 @@ func TestConfigValidate(t *testing.T) {
 
 func TestTraceCaching(t *testing.T) {
 	cfg := quick()
+	cfg.Store = NewStore(cfg)
 	a, err := cfg.Trace("SPMD")
 	if err != nil {
 		t.Fatal(err)

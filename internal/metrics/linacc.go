@@ -356,9 +356,6 @@ func (a *AlphaSweep) AddOutsideROI(count int) {
 	a.outsideROI += count
 }
 
-// N returns the number of in-ROI predictions accumulated.
-func (a *AlphaSweep) N() int { return a.n }
-
 // Reports materialises one Report per α of the configured grid,
 // index-aligned with the grid passed to NewAlphaSweep/Reconfigure. The
 // returned slice is reused by subsequent Reports/Reconfigure calls;

@@ -155,9 +155,9 @@ func TestAlphaSweepMatchesAccumulatorBank(t *testing.T) {
 			}
 			bank := newDirectBank(t, alphas)
 			feedRandom(rand.New(rand.NewSource(42)), 4000, sw, bank)
-			if sw.N() != bank.accs[0].N() || sw.outsideROI != bank.accs[0].OutsideROI() {
+			if sw.n != bank.accs[0].N() || sw.outsideROI != bank.accs[0].OutsideROI() {
 				t.Fatalf("counts: sweep (%d,%d), bank (%d,%d)",
-					sw.N(), sw.outsideROI, bank.accs[0].N(), bank.accs[0].OutsideROI())
+					sw.n, sw.outsideROI, bank.accs[0].N(), bank.accs[0].OutsideROI())
 			}
 			checkReports(t, name, sw.Reports(), bank.reports())
 		})
@@ -191,8 +191,8 @@ func TestAlphaSweepReconfigure(t *testing.T) {
 	if err := sw.Reconfigure(first); err != nil {
 		t.Fatal(err)
 	}
-	if sw.N() != 0 || sw.outsideROI != 0 {
-		t.Fatalf("Reconfigure kept state: N=%d outside=%d", sw.N(), sw.outsideROI)
+	if sw.n != 0 || sw.outsideROI != 0 {
+		t.Fatalf("Reconfigure kept state: N=%d outside=%d", sw.n, sw.outsideROI)
 	}
 	bank := newDirectBank(t, first)
 	feedRandom(rand.New(rand.NewSource(7)), 500, sw, bank)

@@ -123,6 +123,7 @@ func TestVectorizedMatchesOnline(t *testing.T) {
 			{Alpha: 0.5, D: 5, K: 3},
 			{Alpha: 0.3, D: 12, K: 6},
 			{Alpha: 0.9, D: 2, K: 2},
+			{Alpha: 0.7, D: 10, K: 2},
 		} {
 			for _, ref := range []RefKind{RefSlotMean, RefSlotStart} {
 				online, err := e.EvaluateOnline(p, ref)

@@ -1,7 +1,7 @@
 // Package report renders experiment results as fixed-width text tables,
 // CSV, and ASCII charts. The goal is that every table and
 // figure of the paper can be regenerated as something directly comparable
-// on a terminal and pasteable into EXPERIMENTS.md.
+// on a terminal.
 package report
 
 import (

@@ -30,8 +30,8 @@
 //		_ = forecast // budget the next slot's energy as forecast·T
 //	}
 //
-// See the examples directory for runnable programs and DESIGN.md for the
-// system inventory and the experiment index.
+// See the examples directory for runnable programs, and the README's
+// "Reproducing the paper" section for the experiment index.
 package solarpred
 
 import (
